@@ -195,7 +195,7 @@ def arbitrate_harmonics(a, ctx: PrecisionContext = CTX34, rel_tol=None) -> dict:
                 log.warning(
                     "harmonic closed form k=%d fails arbitration at a=%s: dev=%s",
                     k,
-                    mp.nstr(mp.mpf(a), 6),
+                    mp.nstr(as_mpf(a), 6),
                     mp.nstr(dev, 4),
                 )
             report[k] = (closed, ref, dev, flagged)

@@ -29,7 +29,7 @@ from .apps import (
     output_power_quadrature,
 )
 from .exact import RationalPolynomial
-from .gauss import build_erf_series, build_gauss_g, build_gauss_h
+from .gauss import RationalFunctionApproximant, build_erf_series, build_gauss_g, build_gauss_h
 from .grids import GridApproximant, build_grid_table
 from .oracle import PrecisionContext
 from .render import (
@@ -42,12 +42,13 @@ from .render import (
     polyexp_str,
     poly_str,
 )
-from .spline import build_spline
-from .sqrtform import build_sqrt
-from .subinterval import build_subinterval
-from .tables import reproduce_table
+from .spline import SplineApproximant, build_spline
+from .sqrtform import SqrtForm, build_sqrt
+from .subinterval import SubintervalApproximant, build_subinterval
+from .tables import parse_rows, reproduce_table
 from .transition import (
     PiecewiseApproximant,
+    TaylorApproximant,
     optimize_transition,
     sweep as run_sweep,
     taylor,
@@ -159,29 +160,19 @@ def parse_gen_payload(payload: dict):
     family = payload["family"]
     if family in ("spline", "subinterval"):
         form = parse_polyexp(payload["terms"])
-        from .spline import SplineApproximant
-        from .subinterval import SubintervalApproximant
-
         if family == "spline":
-            rebuilt = build_spline(payload["order"])
-            return SplineApproximant(payload["order"], form, rebuilt.residual_derivative_form)
+            return SplineApproximant(payload["order"], form)
         return SubintervalApproximant(payload["order"], payload["subintervals"], form)
     if family == "sqrt":
-        from .sqrtform import SqrtForm
-
         form = parse_polyexp(payload["radicand"])
         q0 = form.poly_at(0).coeff(0)
         terms = tuple((r, p) for r, p in form.terms if r != 0)
         return SqrtForm(payload["order"], q0, terms)
     if family == "taylor":
-        from .transition import TaylorApproximant
-
         return TaylorApproximant(
             payload["order"], RationalPolynomial([parse_frac(c) for c in payload["coefficients"]])
         )
     if family in ("gauss_g", "gauss_h"):
-        from .gauss import RationalFunctionApproximant
-
         return RationalFunctionApproximant(
             payload["order"],
             RationalPolynomial([parse_frac(c) for c in payload["numerator"]]),
@@ -240,17 +231,10 @@ def cmd_table(args) -> int:
     ctx = None
     if args.digits is not None:
         ctx = PrecisionContext(args.digits)
-    rows = None
-    if args.rows:
-        if args.table == "9":
-            rows = set()
-            for item in args.rows.split(","):
-                tag, n = item.split(":")
-                rows.add((tag, int(n)))
-        elif args.table in ("7", "3", "4", "5", "6"):
-            rows = {int(r) for r in args.rows.split(",")}
-        else:
-            rows = set(args.rows.split(","))
+    try:
+        rows = parse_rows(args.table, args.rows) if args.rows else None
+    except ValueError as exc:
+        raise SystemExit("erfkit table: %s" % exc) from exc
     results = reproduce_table(args.table, rows, ctx)
     out, close = _open_out(args.out)
     writer = csv.writer(out)

@@ -192,7 +192,6 @@ class RationalPolynomial:
 
 
 ZERO_POLY = RationalPolynomial()
-ONE_POLY = RationalPolynomial([1])
 X_POLY = RationalPolynomial([0, 1])
 
 

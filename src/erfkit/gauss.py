@@ -13,17 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
-from .exact import (
-    RationalPolynomial,
-    ZERO_POLY,
-    hermite_at_zero,
-    hermite_table,
-    spline_coeff,
+from .exact import RationalPolynomial, spline_coeff
+from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
+from .spline import (
+    SplineApproximant,
+    build_spline,
+    residual_derivative,
+    residual_diagnostics,
+    residual_scale,
 )
-from .oracle import CTX34, PrecisionContext, sqrt_pi
-from .spline import SplineApproximant, build_spline, residual_diagnostics, residual_scale
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class RationalFunctionApproximant:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             return self.numerator.eval_mpf(xm) / self.denominator.eval_mpf(xm)
 
 
@@ -45,20 +43,11 @@ def gauss_g_parts(n: int) -> tuple:
 
     numerator  = sum_k c_{n,k}(k+1) x^k p(k,0)
     denominator = 1 + sum_k c_{n,k}(-1)^(k+1) x^k [(k+1-2x^2) p(k,x) + x p'(k,x)]
+
+    These are the two polynomials of sqrt(pi) eps'_n = -2 numerator + 2 denominator e^(-x^2).
     """
-    table = hermite_table(n)
-    num = ZERO_POLY
-    den = RationalPolynomial([1])
-    for k in range(n + 1):
-        c = spline_coeff(n, k)
-        pk0 = hermite_at_zero(k)
-        if pk0:
-            num = num + RationalPolynomial([c * (k + 1) * pk0]).mul_x_power(k)
-        pk = table[k]
-        bracket = RationalPolynomial([k + 1, 0, -2]) * pk + pk.derivative().mul_x_power(1)
-        sign = 1 if k % 2 else -1  # (-1)^(k+1)
-        den = den + (sign * c) * bracket.mul_x_power(k)
-    return num, den
+    form = residual_derivative(n)
+    return form.poly_at(0) * Fraction(-1, 2), form.poly_at(1) * Fraction(1, 2)
 
 
 def build_gauss_g(n: int) -> RationalFunctionApproximant:
@@ -93,7 +82,7 @@ class ErfSeriesApproximant:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             if xm < 0:
                 return -self.value(-xm, ctx)
             return (self.base.form.eval_raw(xm) + self.tail.eval_mpf(xm)) / sqrt_pi()

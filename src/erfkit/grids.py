@@ -22,7 +22,7 @@ from .exact import (
     mpf_to_fraction,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, erf_ref, sqrt_pi
+from .oracle import CTX34, PrecisionContext, erf_ref, finite_mpf, sqrt_pi
 
 
 def floor_cells(x, delta) -> tuple:
@@ -77,6 +77,29 @@ def build_grid_table(delta, k_max: int, ctx: PrecisionContext = CTX34) -> GridTa
     return GridTable(delta, tuple(cs), tuple(partial), ctx.working_digits, saturated)
 
 
+def _spline_weights(n: int) -> list:
+    """Doubled quadrature weights 2 c_{n,k}, k = 0..n."""
+    return [2 * spline_coeff(n, k) for k in range(n + 1)]
+
+
+def _corrected(base, weights, xm, offset, pk_alpha, ealpha):
+    """base plus the order-n interval spline for erf over [xm - offset, xm].
+
+    pk_alpha holds p(k, alpha) and ealpha is exp(-alpha^2) at the cell start
+    alpha = xm - offset; weights are the doubled quadrature weights.
+    """
+    px = hermite_values_mpf(len(weights) - 1, xm)
+    ex = mp.exp(-xm * xm)
+    acc = mp.mpf(0)
+    wk = offset
+    for k, c in enumerate(weights):
+        ck = fraction_to_mpf(c)
+        right = px[k] * ex if k % 2 == 0 else -px[k] * ex
+        acc += ck * wk * (pk_alpha[k] * ealpha + right)
+        wk *= offset
+    return base + acc / sqrt_pi()
+
+
 class GridApproximant:
     """Order-n spline correction on top of a GridTable; valid for covered x."""
 
@@ -84,7 +107,7 @@ class GridApproximant:
         self.order = order
         self.table = table
         self._htable = hermite_table(order)
-        self._coeffs = [2 * spline_coeff(order, k) for k in range(order + 1)]
+        self._coeffs = _spline_weights(order)
         self._cell_cache: dict = {}
 
     def _cell_data(self, index: int):
@@ -95,13 +118,13 @@ class GridApproximant:
             alpha = self.table.resolution * index
             alpha_m = fraction_to_mpf(alpha)
             pk = [fraction_to_mpf(self._htable[k].evaluate(alpha)) for k in range(self.order + 1)]
-            hit = (alpha_m, mp.exp(-alpha_m * alpha_m), pk)
+            hit = (pk, mp.exp(-alpha_m * alpha_m))
             self._cell_cache[key] = hit
         return hit
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             if xm < 0:
                 return -self.value(-xm, ctx)
             index, offset = floor_cells(xm, self.table.resolution)
@@ -114,17 +137,7 @@ class GridApproximant:
                 base = self.table.partial[-1]
             else:
                 base = self.table.partial[index]
-            alpha_m, ealpha, pk_alpha = self._cell_data(index)
-            px = hermite_values_mpf(self.order, xm)
-            ex = mp.exp(-xm * xm)
-            acc = mp.mpf(0)
-            wk = offset
-            for k in range(self.order + 1):
-                ck = fraction_to_mpf(self._coeffs[k])
-                right = px[k] * ex if k % 2 == 0 else -px[k] * ex
-                acc += ck * wk * (pk_alpha[k] * ealpha + right)
-                wk *= offset
-            return base + acc / sqrt_pi()
+            return _corrected(base, self._coeffs, xm, offset, *self._cell_data(index))
 
 
 def eval_grid_spline(n: int, table: GridTable, x, ctx: PrecisionContext = CTX34):
@@ -161,7 +174,7 @@ def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGri
 def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX34):
     """Order-n spline from the largest knot x_S <= x; x may exceed the last knot."""
     with ctx.workdps():
-        xm = mp.mpf(x)
+        xm = finite_mpf(x)
         if xm < 0:
             return -eval_nonuniform(n, grid, -xm, ctx)
         idx = 0
@@ -171,17 +184,6 @@ def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX
             else:
                 break
         x_s = grid.knots[idx - 1] if idx else mp.mpf(0)
-        base = grid.partial[idx]
         pk_alpha = hermite_values_mpf(n, x_s)
         ealpha = mp.exp(-x_s * x_s)
-        px = hermite_values_mpf(n, xm)
-        ex = mp.exp(-xm * xm)
-        offset = xm - x_s
-        acc = mp.mpf(0)
-        wk = offset
-        for k in range(n + 1):
-            ck = fraction_to_mpf(2 * spline_coeff(n, k))
-            right = px[k] * ex if k % 2 == 0 else -px[k] * ex
-            acc += ck * wk * (pk_alpha[k] * ealpha + right)
-            wk *= offset
-        return base + acc / sqrt_pi()
+        return _corrected(grid.partial[idx], _spline_weights(n), xm, xm - x_s, pk_alpha, ealpha)

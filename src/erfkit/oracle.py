@@ -40,13 +40,20 @@ class PrecisionContext:
 
 
 CTX34 = PrecisionContext(34, 10)
-CTX50 = PrecisionContext(50, 10)
 CTX70 = PrecisionContext(70, 10)
 
 
 def sqrt_pi():
     """sqrt(pi) at the current working precision (never hard-coded)."""
     return mp.sqrt(mp.pi)
+
+
+def finite_mpf(x):
+    """mpf(x) at the current precision; NaN and infinities raise ValueError."""
+    xm = mp.mpf(x)
+    if not mp.isfinite(xm):
+        raise ValueError("x must be finite, got %r" % x)
+    return xm
 
 
 def erf_ref(x, ctx: PrecisionContext = CTX34):
@@ -58,9 +65,7 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
     2x^2/(2n+3) has fallen below 1/2 (geometric tail).
     """
     with ctx.workdps():
-        xm = mp.mpf(x)
-        if not mp.isfinite(xm):
-            raise ValueError("erf_ref requires finite x, got %r" % x)
+        xm = finite_mpf(x)
         if xm < 0:
             return -erf_ref(-xm, ctx)
         if xm == 0:

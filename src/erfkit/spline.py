@@ -23,23 +23,26 @@ from .exact import (
     hermite_table,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, sqrt_pi
+from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
+
+
+class PolyExpApproximant:
+    """Odd erf approximant whose ``form`` is sqrt(pi) times its value on x >= 0."""
+
+    def value(self, x, ctx: PrecisionContext = CTX34):
+        with ctx.workdps():
+            xm = finite_mpf(x)
+            if xm < 0:
+                return -self.value(-xm, ctx)
+            return self.form.eval_raw(xm) / sqrt_pi()
 
 
 @dataclass(frozen=True)
-class SplineApproximant:
+class SplineApproximant(PolyExpApproximant):
     """Order-n two-point spline approximant; ``form`` is sqrt(pi) * f_n."""
 
     order: int
     form: PolyExpSum
-    residual_derivative_form: PolyExpSum
-
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = mp.mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            return self.form.eval_raw(xm) / sqrt_pi()
 
 
 def build_spline(n: int) -> SplineApproximant:
@@ -56,7 +59,7 @@ def build_spline(n: int) -> SplineApproximant:
             poly0 = poly0 + RationalPolynomial([c2 * pk0]).mul_x_power(k + 1)
         sign = -1 if k % 2 else 1
         poly1 = poly1 + (sign * c2) * table[k].mul_x_power(k + 1)
-    return SplineApproximant(n, PolyExpSum([(0, poly0), (1, poly1)]), residual_derivative(n))
+    return SplineApproximant(n, PolyExpSum([(0, poly0), (1, poly1)]))
 
 
 def residual_derivative(n: int) -> PolyExpSum:
@@ -73,11 +76,11 @@ def residual_derivative(n: int) -> PolyExpSum:
         c = spline_coeff(n, k)
         pk0 = hermite_at_zero(k)
         if pk0:
-            poly0 = poly0 - RationalPolynomial([2 * c * (k + 1) * pk0]).mul_x_power(k)
+            poly0 = poly0 + RationalPolynomial([-2 * c * (k + 1) * pk0]).mul_x_power(k)
         pk = table[k]
         bracket = RationalPolynomial([k + 1, 0, -2]) * pk + pk.derivative().mul_x_power(1)
-        sign = -1 if k % 2 else 1
-        poly1 = poly1 - (2 * sign * c) * bracket.mul_x_power(k)
+        sign = 1 if k % 2 else -1  # (-1)^(k+1)
+        poly1 = poly1 + (2 * sign * c) * bracket.mul_x_power(k)
     return PolyExpSum([(0, poly0), (1, poly1)])
 
 
@@ -93,14 +96,6 @@ class ResidualDiagnostics:
 def residual_scale(n: int) -> int:
     """x_{n,0} = 2^n * prod_{i=0..n} (2i+1)."""
     return 2**n * math.prod(2 * i + 1 for i in range(n + 1))
-
-
-def _expseries(max_power: int) -> RationalPolynomial:
-    """Taylor polynomial of e^(-x^2) through x^max_power, exact."""
-    coeffs = [Fraction(0)] * (max_power + 1)
-    for j in range(max_power // 2 + 1):
-        coeffs[2 * j] = Fraction((-1) ** j, math.factorial(j))
-    return RationalPolynomial(coeffs)
 
 
 def taylor_expand(form: PolyExpSum, max_power: int) -> RationalPolynomial:
@@ -156,7 +151,7 @@ class IntervalSpline:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             ea = mp.exp(-mp.mpf(self.alpha.numerator) ** 2 / self.alpha.denominator**2)
             ex = mp.exp(-xm * xm)
             return (self.poly_alpha.eval_mpf(xm) * ea + self.poly_x.eval_mpf(xm) * ex) / sqrt_pi()
@@ -187,7 +182,7 @@ class ConstantOneTail:
     """Large-argument approximation erf(x) ~ 1 (signed for negative x)."""
 
     def value(self, x, ctx: PrecisionContext = CTX34):
-        xm = mp.mpf(x)
+        xm = finite_mpf(x)
         return mp.mpf(1) if xm >= 0 else mp.mpf(-1)
 
 
@@ -196,7 +191,7 @@ class GaussTail:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             if xm <= 0:
                 raise ValueError("second tail form requires x > 0")
             return 1 - mp.exp(-xm * xm) / (sqrt_pi() * xm)

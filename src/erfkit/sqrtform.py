@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
@@ -26,8 +27,7 @@ from .exact import (
     integrate_odd,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, sqrt_pi
-from .spline import build_spline
+from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,10 @@ class SqrtForm:
     terms: tuple  # (rate, RationalPolynomial), pi-scaled
 
     def radicand(self) -> PolyExpSum:
+        return self._radicand
+
+    @cached_property
+    def _radicand(self) -> PolyExpSum:
         return PolyExpSum(((Fraction(0), RationalPolynomial([self.q0])),) + self.terms)
 
     def limit_value(self, ctx: PrecisionContext = CTX34):
@@ -54,16 +58,11 @@ class SqrtForm:
     def radicand_value(self, x, ctx: PrecisionContext = CTX34):
         """pi-scaled radicand at x (may be a rounding hair below zero near 0)."""
         with ctx.workdps():
-            xm = mp.mpf(x)
-            u = xm * xm
-            acc = fraction_to_mpf(self.q0)
-            for rate, poly in self.terms:
-                acc += poly.eval_mpf(xm) * mp.exp(-fraction_to_mpf(rate) * u)
-            return acc
+            return self.radicand().eval_raw(finite_mpf(x))
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             if xm < 0:
                 return -self.value(-xm, ctx)
             r = self.radicand_value(xm, ctx)
@@ -77,10 +76,6 @@ class SqrtForm:
             return mp.sqrt(r) / sqrt_pi()
 
 
-def _hermite_coeff(table, k: int, j: int) -> Fraction:
-    return table[k].coeff(j)
-
-
 def alpha_coeffs(n: int) -> list:
     """pi-scaled coefficients of the e^(-x^2) polynomial, descending recurrence.
 
@@ -90,15 +85,13 @@ def alpha_coeffs(n: int) -> list:
     m = n if n % 2 == 0 else n - 1
     alpha = [Fraction(0)] * (m + 1)
     if m == 0:
-        alpha[0] = -4 * spline_coeff(n, 0) * _hermite_coeff(table, 0, 0)
+        alpha[0] = -4 * spline_coeff(n, 0) * table[0].coeff(0)
         return alpha
-    alpha[m] = -4 * spline_coeff(n, m) * _hermite_coeff(table, m, 0)
+    alpha[m] = -4 * spline_coeff(n, m) * table[m].coeff(0)
     for i in range(1, m // 2):
         j = m - 2 * i
-        alpha[j] = Fraction(j + 2, 2) * alpha[j + 2] - 4 * spline_coeff(n, j) * _hermite_coeff(
-            table, j, 0
-        )
-    alpha[0] = alpha[2] - 4 * spline_coeff(n, 0) * _hermite_coeff(table, 0, 0)
+        alpha[j] = Fraction(j + 2, 2) * alpha[j + 2] - 4 * spline_coeff(n, j) * table[j].coeff(0)
+    alpha[0] = alpha[2] - 4 * spline_coeff(n, 0) * table[0].coeff(0)
     return alpha
 
 
@@ -107,7 +100,7 @@ def beta_coeffs(n: int) -> list:
     table = hermite_table(n)
     beta = [Fraction(0)] * (2 * n + 1)
     sign_n = -1 if n % 2 else 1
-    beta[2 * n] = -2 * sign_n * spline_coeff(n, n) * _hermite_coeff(table, n, n)
+    beta[2 * n] = -2 * sign_n * spline_coeff(n, n) * table[n].coeff(n)
     if n == 0:
         return beta
     for i in range(1, n):
@@ -115,9 +108,9 @@ def beta_coeffs(n: int) -> list:
         total = Fraction(0)
         for k in range(n - i, min(2 * n - 2 * i, n) + 1):
             sign = -1 if k % 2 else 1
-            total += sign * spline_coeff(n, k) * _hermite_coeff(table, k, 2 * (n - i) - k)
+            total += sign * spline_coeff(n, k) * table[k].coeff(2 * (n - i) - k)
         beta[j] = Fraction(j + 2, 4) * beta[j + 2] - 2 * total
-    beta[0] = beta[2] / 2 - 2 * spline_coeff(n, 0) * _hermite_coeff(table, 0, 0)
+    beta[0] = beta[2] / 2 - 2 * spline_coeff(n, 0) * table[0].coeff(0)
     return beta
 
 
@@ -170,7 +163,7 @@ class ComplementaryDemarcation:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = mp.mpf(x)
+            xm = finite_mpf(x)
             r = 1 - self.form.radicand_value(xm, ctx) / mp.pi
             if r < 0:
                 r = mp.mpf(0)
@@ -189,8 +182,3 @@ class ComplementaryDemarcation:
 
 def complementary_demarcation(n: int) -> ComplementaryDemarcation:
     return ComplementaryDemarcation(n, build_sqrt(n))
-
-
-def sqrt_of_spline(n: int) -> SqrtForm:
-    """Sqrt form driven by the order-n single-interval spline (same as build_sqrt)."""
-    return sqrt_transform(build_spline(n).form, base_order=n)

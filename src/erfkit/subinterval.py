@@ -11,26 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .exact import PolyExpSum, hermite_table, spline_coeff
-from .oracle import CTX34, PrecisionContext, sqrt_pi
+from .spline import PolyExpApproximant
 
 
 @dataclass(frozen=True)
-class SubintervalApproximant:
+class SubintervalApproximant(PolyExpApproximant):
     """Order-n, m-sub-interval approximant; ``form`` is sqrt(pi) * f_{n,m}."""
 
     order: int
     subintervals: int
     form: PolyExpSum
-
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = mp.mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            return self.form.eval_raw(xm) / sqrt_pi()
 
 
 def build_subinterval(n: int, m: int) -> SubintervalApproximant:

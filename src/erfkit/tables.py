@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 
@@ -49,9 +50,9 @@ class RowResult:
         return cells
 
 
-def _reb_ok(computed, printed) -> bool:
+def _reb_ok(computed, printed, tol=REB_RELATIVE_TOL) -> bool:
     printed = mp.mpf(printed)
-    return abs(computed / printed - 1) <= REB_RELATIVE_TOL
+    return abs(computed / printed - 1) <= tol
 
 
 def _xo_ok(computed, printed, step) -> bool:
@@ -70,6 +71,12 @@ def _transition_row(table, label, inner, interval, n_points, ctx, xo_p, reb_p):
         {"x_o": xo_p, "re_b": reb_p},
         ok,
     )
+
+
+def _bound_row(table, label, bound, printed, tol=REB_RELATIVE_TOL, detail=""):
+    """Row comparing a computed relative-error bound with its printed value."""
+    ok = _reb_ok(bound, printed, tol)
+    return RowResult(table, label, {"re_b": mp.nstr(bound, 4)}, {"re_b": printed}, ok, detail)
 
 
 TABLE3 = [
@@ -193,52 +200,25 @@ TABLE9_H = [
 ]
 
 
-def table3(rows=None, ctx: PrecisionContext = CTX34):
-    out = []
-    for n, xo_p, reb_p in TABLE3:
-        if rows is not None and n not in rows:
-            continue
-        out.append(
-            _transition_row("3", "n=%d" % n, build_spline(n), (0, 5), 10000, ctx, xo_p, reb_p)
-        )
-    return out
+# Tables 3-6: (fixtures, builder of the order-n approximant, sweep interval,
+# default precision); every row is an improved approximant on 10000 points.
+TRANSITION_TABLES = {
+    "3": (TABLE3, build_spline, (0, 5), CTX34),
+    "4": (TABLE4, taylor, (0, 4), CTX34),
+    "5": (TABLE5, lambda n: build_subinterval(n, 4), (0, 8), CTX34),
+    "6": (TABLE6, lambda n: build_subinterval(n, 16), (0, 12), CTX70),
+}
 
 
-def table4(rows=None, ctx: PrecisionContext = CTX34):
-    out = []
-    for n, xo_p, reb_p in TABLE4:
-        if rows is not None and n not in rows:
-            continue
-        out.append(
-            _transition_row("4", "n=%d" % n, taylor(n), (0, 4), 10000, ctx, xo_p, reb_p)
-        )
-    return out
-
-
-def table5(rows=None, ctx: PrecisionContext = CTX34):
-    out = []
-    for n, xo_p, reb_p in TABLE5:
-        if rows is not None and n not in rows:
-            continue
-        out.append(
-            _transition_row(
-                "5", "n=%d" % n, build_subinterval(n, 4), (0, 8), 10000, ctx, xo_p, reb_p
-            )
-        )
-    return out
-
-
-def table6(rows=None, ctx: PrecisionContext = CTX70):
-    out = []
-    for n, xo_p, reb_p in TABLE6:
-        if rows is not None and n not in rows:
-            continue
-        out.append(
-            _transition_row(
-                "6", "n=%d" % n, build_subinterval(n, 16), (0, 12), 10000, ctx, xo_p, reb_p
-            )
-        )
-    return out
+def transition_table(table_id: str, rows=None, ctx: PrecisionContext | None = None):
+    """Rows of Table 3, 4, 5 or 6 (see TRANSITION_TABLES)."""
+    fixtures, build, interval, default_ctx = TRANSITION_TABLES[table_id]
+    ctx = default_ctx if ctx is None else ctx
+    return [
+        _transition_row(table_id, "n=%d" % n, build(n), interval, 10000, ctx, xo_p, reb_p)
+        for n, xo_p, reb_p in fixtures
+        if rows is None or n in rows
+    ]
 
 
 def table7(rows=None, ctx: PrecisionContext = CTX34):
@@ -273,33 +253,14 @@ def sqrt_family_bound(form, ctx: PrecisionContext = CTX34, n_points: int = 3000)
         return max(rep.re_b, limit_re)
 
 
-def table8(rows=None, ctx: PrecisionContext = CTX34, include_extension: bool = True):
+def table8(rows=None, ctx: PrecisionContext = CTX34):
     out = []
     for n, reb_p in TABLE8:
-        if rows is not None and n not in rows:
-            continue
-        bound = sqrt_family_bound(build_sqrt(n), ctx)
-        out.append(
-            RowResult(
-                "8",
-                "n=%d" % n,
-                {"re_b": mp.nstr(bound, 4)},
-                {"re_b": reb_p},
-                _reb_ok(bound, reb_p),
-            )
-        )
-    if include_extension and (rows is None or "extension" in rows):
+        if rows is None or n in rows:
+            out.append(_bound_row("8", "n=%d" % n, sqrt_family_bound(build_sqrt(n), ctx), reb_p))
+    if rows is None or "extension" in rows:
         form = sqrt_transform(build_subinterval(1, 4).form, 1)
-        bound = sqrt_family_bound(form, ctx)
-        out.append(
-            RowResult(
-                "8",
-                "sqrt(f_{1,4})",
-                {"re_b": mp.nstr(bound, 4)},
-                {"re_b": "2.83e-6"},
-                _reb_ok(bound, "2.83e-6"),
-            )
-        )
+        out.append(_bound_row("8", "sqrt(f_{1,4})", sqrt_family_bound(form, ctx), "2.83e-6"))
     return out
 
 
@@ -328,18 +289,9 @@ def table9(rows=None, ctx: PrecisionContext = CTX34):
     out = []
     for builder, fixtures, tag in ((build_gauss_g, TABLE9_G, "g"), (build_gauss_h, TABLE9_H, "h")):
         for n, reb_p in fixtures:
-            if rows is not None and (tag, n) not in rows:
-                continue
-            bound = gauss_sweep(builder(n), interval, 10000, ctx)
-            out.append(
-                RowResult(
-                    "9",
-                    "%s n=%d" % (tag, n),
-                    {"re_b": mp.nstr(bound, 4)},
-                    {"re_b": reb_p},
-                    _reb_ok(bound, reb_p),
-                )
-            )
+            if rows is None or (tag, n) in rows:
+                bound = gauss_sweep(builder(n), interval, 10000, ctx)
+                out.append(_bound_row("9", "%s n=%d" % (tag, n), bound, reb_p))
     return out
 
 
@@ -369,7 +321,6 @@ def table10(rows=None, ctx: PrecisionContext = CTX34):
     for label, xo_p, reb_p, tol, note in TABLE10:
         if rows is not None and label not in rows:
             continue
-        tol_v = REB_RELATIVE_TOL if tol is None else mp.mpf(tol)
         kind, _, spec = label.partition(" ")
         params = dict(p.split("=") for p in spec.split())
         if kind in ("spline", "subinterval"):
@@ -388,37 +339,58 @@ def table10(rows=None, ctx: PrecisionContext = CTX34):
             bound = sweep(approx, interval, 10000, ctx).re_b
         else:
             bound = sqrt_family_bound(build_sqrt(int(params["n"])), ctx)
-        ok = abs(bound / mp.mpf(reb_p) - 1) <= tol_v
-        out.append(
-            RowResult(
-                "10",
-                label,
-                {"re_b": mp.nstr(bound, 4)},
-                {"re_b": reb_p},
-                ok,
-                detail=note,
-            )
-        )
+        tol_v = REB_RELATIVE_TOL if tol is None else mp.mpf(tol)
+        out.append(_bound_row("10", label, bound, reb_p, tol_v, note))
     return out
 
 
 TABLE_BUILDERS = {
-    "3": table3,
-    "4": table4,
-    "5": table5,
-    "6": table6,
+    **{key: partial(transition_table, key) for key in TRANSITION_TABLES},
     "7": table7,
     "8": table8,
     "9": table9,
     "10": table10,
 }
 
+# Row keys each table accepts in ``rows``.
+ROW_KEYS = {
+    **{key: [row[0] for row in spec[0]] for key, spec in TRANSITION_TABLES.items()},
+    "7": [k for k, _ in TABLE7],
+    "8": [n for n, _ in TABLE8] + ["extension"],
+    "9": [("g", n) for n, _ in TABLE9_G] + [("h", n) for n, _ in TABLE9_H],
+    "10": [row[0] for row in TABLE10],
+}
+
+
+def _row_text(key) -> str:
+    return "%s:%s" % key if isinstance(key, tuple) else str(key)
+
+
+def _check_rows(key: str, rows) -> None:
+    unknown = sorted(map(_row_text, set(rows) - set(ROW_KEYS[key])))
+    if unknown:
+        raise ValueError("table %s has no row %s" % (key, ", ".join(unknown)))
+
+
+def parse_rows(table_id, text: str) -> set:
+    """Row keys from a comma list: orders '4,24', 'extension', 'g:7' or Table 10 labels."""
+    key = str(table_id)
+    by_text = {_row_text(row): row for row in ROW_KEYS[key]}
+    rows = {by_text.get(item, item) for item in text.split(",")}
+    _check_rows(key, rows)
+    return rows
+
 
 def reproduce_table(table_id, rows=None, ctx: PrecisionContext | None = None):
-    """Recompute a published table; returns a list of RowResult."""
+    """Recompute a published table; returns a list of RowResult.
+
+    ``rows`` selects rows by key (see ROW_KEYS); an unknown key raises ValueError.
+    """
     key = str(table_id)
     if key not in TABLE_BUILDERS:
         raise ValueError("unknown table %r (have 3,4,5,6,7,8,9,10)" % table_id)
+    if rows is not None:
+        _check_rows(key, rows)
     builder = TABLE_BUILDERS[key]
     if ctx is None:
         return builder(rows)

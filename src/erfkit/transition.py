@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import RationalPolynomial, as_mpf
-from .oracle import CTX34, PrecisionContext, erf_ref, sqrt_pi
+from .oracle import CTX34, PrecisionContext, erf_ref, finite_mpf, sqrt_pi
 
 _REF_GRID_CACHE: dict = {}
 
@@ -105,7 +105,7 @@ class PiecewiseApproximant:
     x_o: object
 
     def value(self, x, ctx: PrecisionContext = CTX34):
-        xm = mp.mpf(x)
+        xm = finite_mpf(x)
         if xm < 0:
             return -self.value(-xm, ctx)
         if xm <= self.x_o:
@@ -174,7 +174,7 @@ class TaylorApproximant:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            return self.poly.eval_mpf(mp.mpf(x)) / sqrt_pi()
+            return self.poly.eval_mpf(finite_mpf(x)) / sqrt_pi()
 
 
 def taylor(n: int) -> TaylorApproximant:

@@ -33,6 +33,8 @@ from test_spline import PRINTED_FORMS, PRINTED_RESIDUAL_DERIVATIVES
 from test_sqrtform import PRINTED_SQRT
 from test_subinterval import PRINTED_F44
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail=""):
     print("ACCEPTANCE %s: %s %s" % (criterion, "PASS" if ok else "FAIL", detail))
@@ -41,6 +43,93 @@ def report(criterion, ok, detail=""):
 
 def rel_close(computed, printed, tol="0.05"):
     return abs(computed / mp.mpf(printed) - 1) <= mp.mpf(tol)
+
+
+# Computed digits of every row the gate recomputes. The pass/fail verdict
+# allows 5% drift; these pins catch any change in a printed digit.
+PINNED_ROWS = {
+    "3": {
+        "n=0": {"re_b": "0.08506", "x_o": "1.3085"},
+        "n=1": {"re_b": "0.03619", "x_o": "1.492"},
+        "n=2": {"re_b": "0.01948", "x_o": "1.658"},
+        "n=3": {"re_b": "0.007358", "x_o": "1.8975"},
+        "n=4": {"re_b": "0.001026", "x_o": "2.3715"},
+        "n=6": {"re_b": "0.000475", "x_o": "2.4715"},
+        "n=8": {"re_b": "2.792e-5", "x_o": "2.963"},
+        "n=10": {"re_b": "1.347e-5", "x_o": "3.0785"},
+        "n=12": {"re_b": "9.777e-7", "x_o": "3.4625"},
+        "n=14": {"re_b": "3.999e-7", "x_o": "3.5845"},
+        "n=16": {"re_b": "3.439e-8", "x_o": "3.9025"},
+        "n=18": {"re_b": "1.219e-8", "x_o": "4.0285"},
+        "n=20": {"re_b": "1.202e-9", "x_o": "4.3"},
+        "n=22": {"re_b": "3.764e-10", "x_o": "4.429"},
+        "n=24": {"re_b": "4.18e-11", "x_o": "4.6655"},
+    },
+    "4": {
+        "n=1": {"re_b": "0.2661", "x_o": "0.8864"},
+        "n=9": {"re_b": "0.04158", "x_o": "1.4532"},
+        "n=21": {"re_b": "0.005444", "x_o": "1.9672"},
+        "n=61": {"re_b": "1.243e-5", "x_o": "3.09"},
+    },
+    "5": {
+        "n=0": {"re_b": "0.005322", "x_o": "2.7016"},
+        "n=1": {"re_b": "7.206e-5", "x_o": "3.292"},
+        "n=2": {"re_b": "1.271e-6", "x_o": "3.4544"},
+        "n=4": {"re_b": "1.433e-7", "x_o": "3.7208"},
+        "n=8": {"re_b": "4.337e-11", "x_o": "4.6616"},
+        "n=12": {"re_b": "9.753e-16", "x_o": "5.6784"},
+        "n=16": {"re_b": "2.01e-19", "x_o": "6.3736"},
+        "n=20": {"re_b": "4.621e-24", "x_o": "7.1544"},
+        "n=24": {"re_b": "1.062e-27", "x_o": "7.7136"},
+    },
+    "6": {
+        "n=4": {"re_b": "4.817e-16", "x_o": "7.1544"},
+        "n=24": {"re_b": "1.207e-50", "x_o": "10.584"},
+    },
+    "7": {
+        "k=1": {"c_k": "5.204998778e-01"},
+        "k=2": {"c_k": "3.222009151e-01"},
+        "k=3": {"c_k": "1.234043535e-01"},
+        "k=4": {"c_k": "2.921711854e-02"},
+        "k=5": {"c_k": "4.270782964e-03"},
+        "k=6": {"c_k": "3.848615204e-04"},
+        "k=7": {"c_k": "2.134739863e-05"},
+        "k=8": {"c_k": "7.276811144e-07"},
+        "k=9": {"c_k": "1.522064186e-08"},
+        "k=10": {"c_k": "1.950785844e-10"},
+        "k=11": {"c_k": "1.530101947e-12"},
+        "k=12": {"c_k": "7.336328181e-15"},
+    },
+    "8": {
+        "n=4": {"re_b": "1.819e-5"},
+        "n=8": {"re_b": "1.693e-8"},
+        "n=16": {"re_b": "1.684e-14"},
+        "sqrt(f_{1,4})": {"re_b": "2.826e-6"},
+    },
+    "9": {
+        "g n=2": {"re_b": "0.9569"},
+        "g n=4": {"re_b": "0.008039"},
+        "g n=7": {"re_b": "0.0003722"},
+        "g n=12": {"re_b": "1.091e-9"},
+        "h n=3": {"re_b": "0.05251"},
+        "h n=5": {"re_b": "7.979e-5"},
+        "h n=8": {"re_b": "5.692e-10"},
+        "h n=12": {"re_b": "4.616e-18"},
+    },
+    "10": {
+        "spline n=12": {"re_b": "9.76e-7"},
+        "subinterval n=8 m=4": {"re_b": "4.327e-11"},
+        "grid n=3 d=3/4": {"re_b": "5.529e-7"},
+        "grid n=2 d=19/20": {"re_b": "8.27e-5"},
+        "sqrt n=20": {"re_b": "1.727e-17"},
+    },
+}
+PINNED_C7 = {4: "7.206e-5", 8: "4.509e-6", 16: "2.818e-7", 64: "1.101e-9"}
+PINNED_C8 = {2: "1.156e-5", 4: "1.349e-9", 6: "7.15e-14", 16: "9.034e-37"}
+
+
+def assert_pinned(table, rows):
+    assert {r.label: r.computed for r in rows} == PINNED_ROWS[table]
 
 
 def test_c01_symbolic_fixtures():
@@ -90,24 +179,28 @@ def test_c03_table3_all_rows():
     rows = reproduce_table(3)
     bad = [r.label for r in rows if not r.ok]
     report("C3 Table 3 (15 rows)", len(rows) == 15 and not bad, ",".join(bad))
+    assert_pinned("3", rows)
 
 
 def test_c04_table4_rows():
     rows = reproduce_table(4, rows={1, 9, 21, 61})
     bad = [r.label for r in rows if not r.ok]
     report("C4 Table 4 (Taylor improved)", len(rows) == 4 and not bad, ",".join(bad))
+    assert_pinned("4", rows)
 
 
 def test_c05_table5_all_rows():
     rows = reproduce_table(5)
     bad = [r.label for r in rows if not r.ok]
     report("C5 Table 5 (m=4, all rows)", len(rows) == 9 and not bad, ",".join(bad))
+    assert_pinned("5", rows)
 
 
 def test_c06_table6_rows_70_digits():
     rows = reproduce_table(6, rows={4, 24})
     bad = [r.label for r in rows if not r.ok]
     report("C6 Table 6 (m=16, 70 digits)", len(rows) == 2 and not bad, ",".join(bad))
+    assert_pinned("6", rows)
 
 
 def test_c07_subinterval_spot_bounds():
@@ -115,15 +208,19 @@ def test_c07_subinterval_spot_bounds():
     with CTX34.workdps():
         ok = True
         detail = []
+        computed = {}
         for m, printed in expected.items():
             res = optimize_transition(build_subinterval(1, m), (0, 8), 10000, CTX34)
             good = rel_close(res.re_b, printed)
             ok &= good
             detail.append("m=%d:%s" % (m, mp.nstr(res.re_b, 3)))
+            computed[m] = mp.nstr(res.re_b, 4)
         res64 = optimize_transition(build_subinterval(1, 64), (0, 16), 20000, CTX34)
         ok &= rel_close(res64.re_b, "1.10e-9")
         detail.append("m=64:%s" % mp.nstr(res64.re_b, 3))
+        computed[64] = mp.nstr(res64.re_b, 4)
     report("C7 f_{1,m} improved bounds", ok, " ".join(detail))
+    assert computed == PINNED_C7
 
 
 def test_c08_grid_family_and_table7():
@@ -131,6 +228,7 @@ def test_c08_grid_family_and_table7():
              (16, "9.03e-37", CTX70)]
     ok = True
     detail = []
+    computed = {}
     for n, printed, ctx in specs:
         table = build_grid_table(F(1, 2), 18, ctx)
         rep = sweep(GridApproximant(n, table), (0, 8), 10000, ctx)
@@ -138,15 +236,19 @@ def test_c08_grid_family_and_table7():
             good = rel_close(rep.re_b, printed)
         ok &= good
         detail.append("n=%d:%s" % (n, mp.nstr(rep.re_b, 3)))
+        computed[n] = mp.nstr(rep.re_b, 4)
     t7 = reproduce_table(7)
     ok &= all(r.ok for r in t7) and len(t7) == 12
     report("C8 grid family + Table 7", ok, " ".join(detail))
+    assert computed == PINNED_C8
+    assert_pinned("7", t7)
 
 
 def test_c09_sqrt_family_bounds():
     rows = reproduce_table(8, rows={4, 8, 16, "extension"})
     bad = [r.label for r in rows if not r.ok]
     report("C9 Table 8 rows + extension", len(rows) == 4 and not bad, ",".join(bad))
+    assert_pinned("8", rows)
 
 
 def test_c10_table9_rows():
@@ -154,6 +256,7 @@ def test_c10_table9_rows():
     rows = reproduce_table(9, rows=want)
     bad = [r.label for r in rows if not r.ok]
     report("C10 Table 9 rows", len(rows) == 8 and not bad, ",".join(bad))
+    assert_pinned("9", rows)
 
 
 def test_c11_table10_one_cell_per_column():
@@ -162,6 +265,7 @@ def test_c11_table10_one_cell_per_column():
     rows = reproduce_table(10, rows=want)
     bad = [r.label for r in rows if not r.ok]
     report("C11 Table 10 columns", len(rows) == 5 and not bad, ",".join(bad))
+    assert_pinned("10", rows)
 
 
 @pytest.mark.xfail(

@@ -8,6 +8,7 @@ import pytest
 
 from erfkit.cli import main, parse_gen_payload
 from erfkit.oracle import CTX34
+from erfkit.tables import parse_rows, reproduce_table
 
 
 def run_cli(*argv):
@@ -122,6 +123,42 @@ def test_table_row_subset():
     summary = [line for line in text.splitlines() if line.startswith("table 3")]
     assert len(summary) == 2
     assert all(line.endswith("pass") for line in summary)
+
+
+def test_parse_rows_key_types():
+    assert parse_rows("3", "0,4") == {0, 4}
+    assert parse_rows("8", "0,extension") == {0, "extension"}
+    assert parse_rows("9", "g:7,h:5") == {("g", 7), ("h", 5)}
+    assert parse_rows("10", "grid n=3 d=3/4,sqrt n=20") == {"grid n=3 d=3/4", "sqrt n=20"}
+
+
+@pytest.mark.parametrize(
+    "table, rows", [("3", "5"), ("8", "ext"), ("9", "g:9"), ("9", "7"), ("10", "n=12")]
+)
+def test_unknown_row_is_an_error(table, rows):
+    with pytest.raises(ValueError, match="has no row"):
+        parse_rows(table, rows)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("table", table, "--rows", rows)
+    assert exc.value.code not in (0, None)
+
+
+def test_reproduce_table_rejects_unknown_row_keys():
+    # string keys for an integer-keyed table used to select nothing and pass
+    with pytest.raises(ValueError, match="has no row 0"):
+        reproduce_table(8, rows={"0"})
+
+
+def test_apps_harmonics_csv_with_flagged_k7(tmp_path):
+    out = tmp_path / "h.csv"
+    code, _ = run_cli(
+        "apps", "harmonics", "--amplitude-range", "1:2", "--steps", "1", "--digits", "20",
+        "--out", str(out),
+    )
+    assert code == 0
+    rows = list(csv.reader(open(out)))
+    assert len(rows) == 2 and rows[1][0] == "2"
+    assert rows[1][-1].endswith(",1")  # the printed k=7 form fails arbitration at a=2
 
 
 def test_apps_power_csv(tmp_path):

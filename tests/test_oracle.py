@@ -1,6 +1,14 @@
 import mpmath as mp
 import pytest
 
+from erfkit import (
+    build_erf_series,
+    build_gauss_g,
+    build_spline,
+    build_sqrt,
+    build_subinterval,
+    taylor,
+)
 from erfkit.oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref, relative_error
 
 
@@ -23,6 +31,23 @@ def test_erf_ref_rejects_nonfinite():
         erf_ref(mp.inf, CTX34)
     with pytest.raises(ValueError):
         erf_ref(mp.nan, CTX34)
+
+
+FAMILIES = {
+    "spline": lambda: build_spline(2),
+    "subinterval": lambda: build_subinterval(1, 4),
+    "series": lambda: build_erf_series(1, 2),
+    "sqrt": lambda: build_sqrt(2),
+    "gauss_g": lambda: build_gauss_g(2),
+    "taylor": lambda: taylor(3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("x", [mp.nan, mp.inf, -mp.inf, float("nan")])
+def test_value_rejects_nonfinite(family, x):
+    with pytest.raises(ValueError, match="finite"):
+        FAMILIES[family]().value(x, CTX34)
 
 
 def test_erf_ref_double_precision_consistency():

@@ -57,7 +57,7 @@ def test_residual_derivative_matches_printed_forms(n):
 def test_residual_identity(n):
     # eps'_n + f_n' = (2/sqrt(pi)) e^(-x^2), exactly
     s = build_spline(n)
-    assert s.residual_derivative_form + s.form.differentiate() == PolyExpSum([(1, [2])])
+    assert residual_derivative(n) + s.form.differentiate() == PolyExpSum([(1, [2])])
 
 
 @pytest.mark.parametrize("n", range(11))
