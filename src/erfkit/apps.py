@@ -96,11 +96,7 @@ def output_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int =
         return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, start_nodes) * 2
 
 
-def _y4_value(u, ctx: PrecisionContext):
-    """Order-4 spline approximant evaluated at u (odd extension built in)."""
-    return _Y4.value(u, ctx)
-
-
+# The order-4 spline approximant y_4 (odd extension built in).
 _Y4 = build_spline(4)
 
 
@@ -158,7 +154,7 @@ def y4_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int = 256
         two_pi = 2 * mp.pi
 
         def f(t):
-            return _y4_value(am * mp.sin(two_pi * t), ctx) ** 2
+            return _Y4.value(am * mp.sin(two_pi * t), ctx) ** 2
 
         return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, start_nodes) * 2
 
@@ -172,7 +168,7 @@ def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34, start_nodes: i
         two_pi = 2 * mp.pi
 
         def f(t):
-            return _y4_value(am * mp.sin(two_pi * t), ctx) * mp.sin(two_pi * k * t)
+            return _Y4.value(am * mp.sin(two_pi * t), ctx) * mp.sin(two_pi * k * t)
 
         return mp.sqrt(2) * _periodic_trapezoid(f, mp.mpf(1), ctx, start_nodes)
 

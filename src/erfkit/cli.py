@@ -49,7 +49,7 @@ from .tables import parse_rows, reproduce_table
 from .transition import (
     PiecewiseApproximant,
     TaylorApproximant,
-    optimize_transition,
+    improved,
     sweep as run_sweep,
     taylor,
 )
@@ -203,8 +203,7 @@ def cmd_sweep(args) -> int:
     approx, _ = build_approximant(args, ctx)
     interval = args.interval or (Fraction(0), Fraction(5))
     if args.transition == "auto":
-        res = optimize_transition(approx, interval, args.points, ctx)
-        approx = PiecewiseApproximant(approx, res.x_o)
+        approx, _ = improved(approx, interval, args.points, ctx)
     elif args.transition not in (None, "none"):
         with ctx.workdps():
             approx = PiecewiseApproximant(approx, mp.mpf(args.transition))
@@ -300,9 +299,7 @@ def cmd_apps(args) -> int:
         steps = args.steps
         approx = None
         if args.order is not None:
-            inner = build_spline(args.order)
-            res = optimize_transition(inner, (0, 5), 10000, ctx)
-            approx = PiecewiseApproximant(inner, res.x_o)
+            approx, _ = improved(build_spline(args.order), (0, 5), 10000, ctx)
         header = "t[%s..%s steps=%d digits=%d gamma=%s f_p=%s]" % (
             t0,
             t1,

@@ -259,9 +259,6 @@ class PolyExpSum:
         factor = Fraction(factor)
         return PolyExpSum([(r, p * factor) for r, p in self.terms])
 
-    def mul_poly(self, poly: RationalPolynomial):
-        return PolyExpSum([(r, p * poly) for r, p in self.terms])
-
     def subst_scale(self, scale):
         """Substitute x -> scale*x; rates pick up a factor scale^2."""
         scale = Fraction(scale)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import RationalPolynomial, spline_coeff
-from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
+from .exact import PolyExpSum, RationalPolynomial, spline_coeff
+from .oracle import CTX34, PrecisionContext, finite_mpf
 from .spline import (
+    PolyExpApproximant,
     SplineApproximant,
     build_spline,
     residual_derivative,
@@ -72,7 +74,7 @@ def build_gauss_h(n: int) -> RationalFunctionApproximant:
 
 
 @dataclass(frozen=True)
-class ErfSeriesApproximant:
+class ErfSeriesApproximant(PolyExpApproximant):
     """f_n plus a truncated odd-power tail for the residual; tail is sqrt(pi)-scaled."""
 
     base_order: int
@@ -80,12 +82,9 @@ class ErfSeriesApproximant:
     tail_terms: int
     tail: RationalPolynomial
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = finite_mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            return (self.base.form.eval_raw(xm) + self.tail.eval_mpf(xm)) / sqrt_pi()
+    @cached_property
+    def form(self) -> PolyExpSum:
+        return self.base.form + PolyExpSum([(0, self.tail)])
 
 
 def build_erf_series(n: int, tail_terms: int) -> ErfSeriesApproximant:

@@ -24,6 +24,7 @@ from .sqrtform import build_sqrt, sqrt_transform
 from .subinterval import build_subinterval
 from .transition import (
     PiecewiseApproximant,
+    grid_points,
     optimize_transition,
     sweep,
     taylor,
@@ -40,14 +41,6 @@ class RowResult:
     printed: dict
     ok: bool
     detail: str = ""
-
-    def as_csv_row(self):
-        cells = [self.table, self.label]
-        for key in sorted(set(self.printed) | set(self.computed)):
-            cells.append(str(self.computed.get(key, "")))
-            cells.append(str(self.printed.get(key, "")))
-        cells.append("pass" if self.ok else "FAIL")
-        return cells
 
 
 def _reb_ok(computed, printed, tol=REB_RELATIVE_TOL) -> bool:
@@ -264,28 +257,17 @@ def table8(rows=None, ctx: PrecisionContext = CTX34):
     return out
 
 
-def _three_sigma_interval(ctx: PrecisionContext):
-    with ctx.workdps():
-        return (mp.mpf(0), 3 / mp.sqrt(2))
-
-
 def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
-    """re_B of an exp(-x^2) approximant; the Gaussian itself is the reference."""
+    """re_B of an exp(-x^2) approximant against the Gaussian on the sweep grid (nothing stored)."""
     with ctx.workdps():
-        am, bm = mp.mpf(interval[0]), mp.mpf(interval[1])
-        step = (bm - am) / n_points
-        best = mp.mpf(-1)
-        for i in range(1, n_points + 1):
-            x = am + i * step
-            ref = mp.exp(-x * x)
-            r = abs(1 - approx.value(x, ctx) / ref)
-            if r > best:
-                best = r
-        return best
+        return max(
+            abs(1 - approx.value(x, ctx) / mp.exp(-x * x)) for x in grid_points(interval, n_points)
+        )
 
 
 def table9(rows=None, ctx: PrecisionContext = CTX34):
-    interval = _three_sigma_interval(ctx)
+    with ctx.workdps():
+        interval = (mp.mpf(0), 3 / mp.sqrt(2))  # three-sigma range
     out = []
     for builder, fixtures, tag in ((build_gauss_g, TABLE9_G, "g"), (build_gauss_h, TABLE9_H, "h")):
         for n, reb_p in fixtures:
@@ -323,22 +305,18 @@ def table10(rows=None, ctx: PrecisionContext = CTX34):
             continue
         kind, _, spec = label.partition(" ")
         params = dict(p.split("=") for p in spec.split())
-        if kind in ("spline", "subinterval"):
-            if kind == "spline":
-                inner = build_spline(int(params["n"]))
-            else:
-                inner = build_subinterval(int(params["n"]), int(params["m"]))
-            piece = PiecewiseApproximant(inner, mp.mpf(xo_p))
-            rep = sweep(piece, (0, 8), 10000, ctx)
-            bound = rep.re_b
+        n = int(params["n"])
+        if kind == "sqrt":
+            bound = sqrt_family_bound(build_sqrt(n), ctx)
         elif kind == "grid":
             delta = Fraction(params["d"])
             interval = (0, 5) if delta == Fraction(19, 20) else (0, 8)
             k_max = int(interval[1] / delta) + 2
-            approx = GridApproximant(int(params["n"]), build_grid_table(delta, k_max, ctx))
+            approx = GridApproximant(n, build_grid_table(delta, k_max, ctx))
             bound = sweep(approx, interval, 10000, ctx).re_b
         else:
-            bound = sqrt_family_bound(build_sqrt(int(params["n"])), ctx)
+            inner = build_spline(n) if kind == "spline" else build_subinterval(n, int(params["m"]))
+            bound = sweep(PiecewiseApproximant(inner, mp.mpf(xo_p)), (0, 8), 10000, ctx).re_b
         tol_v = REB_RELATIVE_TOL if tol is None else mp.mpf(tol)
         out.append(_bound_row("10", label, bound, reb_p, tol_v, note))
     return out

@@ -9,35 +9,48 @@ times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, islice
 
 import mpmath as mp
 
-from .exact import RationalPolynomial, as_mpf
+from .exact import PolyExpSum, RationalPolynomial, as_mpf
 from .oracle import CTX34, PrecisionContext, erf_ref, finite_mpf, sqrt_pi
+from .spline import PolyExpApproximant
 
 _REF_GRID_CACHE: dict = {}
 
 
-def _as_callable(approx):
-    return approx.value if hasattr(approx, "value") else approx
+def grid_points(interval, n_points: int):
+    """Yield x_i = a + i(b-a)/N, i = 1..N, at the current mpmath precision."""
+    am, bm = as_mpf(interval[0]), as_mpf(interval[1])
+    step = (bm - am) / n_points
+    for i in range(1, n_points + 1):
+        yield am + i * step
 
 
 def reference_grid(interval, n_points: int, ctx: PrecisionContext):
-    """Grid points and cached erf references for a sweep specification."""
-    a, b = interval
-    key = (str(a), str(b), n_points, ctx.working_digits, ctx.guard_digits)
-    hit = _REF_GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Grid points and cached erf references for a sweep specification.
+
+    Keyed by the endpoints as mpf at the working precision, the exact values
+    the grid is computed from.
+    """
     with ctx.workdps():
-        am, bm = as_mpf(a), as_mpf(b)
-        step = (bm - am) / n_points
-        xs = tuple(am + i * step for i in range(1, n_points + 1))
-        refs = tuple(erf_ref(x, ctx) for x in xs)
-    _REF_GRID_CACHE[key] = (xs, refs)
-    return xs, refs
+        key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
+        hit = _REF_GRID_CACHE.get(key)
+        if hit is None:
+            xs = tuple(grid_points(interval, n_points))
+            hit = _REF_GRID_CACHE[key] = (xs, tuple(erf_ref(x, ctx) for x in xs))
+    return hit
+
+
+def _relative_errors(approx, xs, refs, ctx: PrecisionContext):
+    """Signed 1 - f(x)/erf(x) on a cached grid; iterate inside ctx.workdps()."""
+    for x, ref in zip(xs, refs):
+        yield 1 - approx.value(x, ctx) / ref
 
 
 @dataclass(frozen=True)
@@ -73,24 +86,17 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
     """Relative-error sweep of an approximant against the erf oracle."""
     if n_points < 2:
         raise ValueError("sweep needs at least 2 points")
-    fn = _as_callable(approx)
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
-        res = []
-        best = mp.mpf(-1)
-        best_i = 0
-        for i, (x, ref) in enumerate(zip(xs, refs)):
-            r = 1 - fn(x, ctx) / ref
-            res.append(r)
-            if abs(r) > best:
-                best = abs(r)
-                best_i = i
+        res = tuple(_relative_errors(approx, xs, refs, ctx))
+        best_i = max(range(n_points), key=lambda i: abs(res[i]))
+        best = abs(res[best_i])
     return SweepReport(
         interval=(interval[0], interval[1]),
         n_points=n_points,
         digits=ctx.working_digits,
         xs=xs,
-        re=tuple(res),
+        re=res,
         re_b=best,
         argmax_x=xs[best_i],
         argmax_index=best_i,
@@ -109,7 +115,7 @@ class PiecewiseApproximant:
         if xm < 0:
             return -self.value(-xm, ctx)
         if xm <= self.x_o:
-            return _as_callable(self.inner)(xm, ctx)
+            return self.inner.value(xm, ctx)
         return mp.mpf(1)
 
 
@@ -118,10 +124,6 @@ class TransitionResult:
     x_o: object
     re_b: object
     tail_never_better: bool
-
-    @property
-    def pair(self):
-        return self.x_o, self.re_b
 
 
 def optimize_transition(
@@ -139,23 +141,14 @@ def optimize_transition(
     When the inner curve never reaches the tail curve, the sweep is reported
     with x_o at the last grid point and tail_never_better set.
     """
-    fn = _as_callable(inner)
     xs, refs = reference_grid(interval, n_points, ctx)
-    n = len(xs)
     with ctx.workdps():
-        one = mp.mpf(1)
-        inner_abs = [abs(1 - fn(x, ctx) / ref) for x, ref in zip(xs, refs)]
-        tail_abs = [abs(1 - one / ref) for ref in refs]
-        cross = None
-        for j in range(n):
-            if inner_abs[j] >= tail_abs[j]:
-                cross = j
-                break
+        inner_abs = [abs(r) for r in _relative_errors(inner, xs, refs, ctx)]
+        tail_abs = [abs(1 - 1 / ref) for ref in refs]
+        cross = next((j for j, (e, t) in enumerate(zip(inner_abs, tail_abs)) if e >= t), None)
         if cross is None:
             return TransitionResult(xs[-1], max(inner_abs), tail_never_better=True)
-        bound = max(inner_abs[: cross + 1])
-        if cross + 1 < n:
-            bound = max(bound, max(tail_abs[cross + 1 :]))
+        bound = max(chain(islice(inner_abs, cross + 1), islice(tail_abs, cross + 1, None)))
     return TransitionResult(xs[cross], bound, tail_never_better=False)
 
 
@@ -166,23 +159,21 @@ def improved(inner, interval, n_points: int, ctx: PrecisionContext = CTX34):
 
 
 @dataclass(frozen=True)
-class TaylorApproximant:
+class TaylorApproximant(PolyExpApproximant):
     """Odd-order Taylor partial sum; ``poly`` is sqrt(pi) * T_n."""
 
     order: int
     poly: RationalPolynomial
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            return self.poly.eval_mpf(finite_mpf(x)) / sqrt_pi()
+    @cached_property
+    def form(self) -> PolyExpSum:
+        return PolyExpSum([(0, self.poly)])
 
 
 def taylor(n: int) -> TaylorApproximant:
     """T_n(x) = (2/sqrt(pi)) sum_k (-1)^k x^(2k+1) / ((2k+1) k!), k <= (n-1)/2."""
     if n < 1 or n % 2 == 0:
         raise ValueError("Taylor order must be odd and >= 1, got %r" % n)
-    import math
-
     coeffs = [Fraction(0)] * (n + 1)
     for k in range((n - 1) // 2 + 1):
         coeffs[2 * k + 1] = Fraction(2 * (-1) ** k, (2 * k + 1) * math.factorial(k))
@@ -203,11 +194,11 @@ class EnvelopePair:
 
     def lower(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            return _as_callable(self.base)(x, ctx) / (1 + mp.mpf(self.eps_b))
+            return self.base.value(x, ctx) / (1 + mp.mpf(self.eps_b))
 
     def upper(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            return _as_callable(self.base)(x, ctx) / (1 - mp.mpf(self.eps_b))
+            return self.base.value(x, ctx) / (1 - mp.mpf(self.eps_b))
 
     def bound_errors(self):
         """Worst-case relative errors (lower, upper): 2e/(1+e), 2e/(1-e)."""
@@ -215,8 +206,7 @@ class EnvelopePair:
         return 2 * e / (1 + e), 2 * e / (1 - e)
 
 
-def envelope(base, eps_b) -> EnvelopePair:
-    return EnvelopePair(base, eps_b)
+envelope = EnvelopePair
 
 
 def published_bounds(x, which: str, ctx: PrecisionContext = CTX34, p=1, q=None):
@@ -225,7 +215,7 @@ def published_bounds(x, which: str, ctx: PrecisionContext = CTX34, p=1, q=None):
     Chu defaults to p = 1 and the smallest admissible q = 4/pi.
     """
     with ctx.workdps():
-        xm = mp.mpf(x)
+        xm = finite_mpf(x)
         if xm <= 0:
             raise ValueError("published bounds are stated for x > 0")
         u = xm * xm

@@ -142,6 +142,18 @@ def test_series_value_is_odd():
         assert s.value(mp.mpf("-0.7"), CTX34) == -s.value(mp.mpf("0.7"), CTX34)
 
 
+def test_series_value_is_base_plus_tail():
+    # one poly-exp evaluation with the tail merged into the rate-0 term; the
+    # sum differs from f_n + tail only by rounding in the guard digits
+    s = build_erf_series(2, 3)
+    assert s.form.poly_at(0) == s.base.form.poly_at(0) + s.tail
+    assert s.form.poly_at(1) == s.base.form.poly_at(1)
+    with CTX34.workdps():
+        for x in (mp.mpf("0.4"), mp.mpf("1.3")):
+            split = s.base.value(x, CTX34) + s.tail.eval_mpf(x) / mp.sqrt(mp.pi)
+            assert mp.almosteq(s.value(x, CTX34), split, rel_eps=mp.mpf("1e-36"))
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         build_erf_series(1, 0)

@@ -4,15 +4,17 @@ import mpmath as mp
 import pytest
 
 from erfkit.exact import RationalPolynomial
-from erfkit.oracle import CTX34, erf_ref
+from erfkit.oracle import CTX34, erf_ref, sqrt_pi
 from erfkit.spline import build_spline
 from erfkit.transition import (
+    _REF_GRID_CACHE,
     EnvelopePair,
     PiecewiseApproximant,
     envelope,
     improved,
     optimize_transition,
     published_bounds,
+    reference_grid,
     sweep,
     taylor,
 )
@@ -193,3 +195,38 @@ def test_csv_and_summary():
     s = rep.summary()
     assert s["schema"] == "erfkit-sweep/1"
     assert s["points"] == 20
+
+
+def test_reference_grid_tells_close_endpoints_apart():
+    # the two right endpoints agree to 25 digits, beyond what str() prints
+    with CTX34.workdps():
+        b1 = 3 / mp.sqrt(2)
+        b2 = b1 + mp.mpf("1e-25")
+    xs1, _ = reference_grid((0, b1), 41, CTX34)
+    xs2, _ = reference_grid((0, b2), 41, CTX34)
+    with CTX34.workdps():
+        assert xs2[-1] > xs1[-1]
+        assert abs(xs2[-1] - b2) < mp.mpf("1e-40")
+        assert sweep(build_spline(2), (0, b2), 41, CTX34).xs[-1] == xs2[-1]
+
+
+def test_reference_grid_shares_equal_endpoints():
+    size = len(_REF_GRID_CACHE)
+    first = reference_grid((0, 0.5), 43, CTX34)
+    assert reference_grid((0, F(1, 2)), 43, CTX34) is first
+    assert reference_grid((F(0), "0.5"), 43, CTX34) is first
+    assert len(_REF_GRID_CACHE) == size + 1
+
+
+@pytest.mark.parametrize("which", ["chu", "neuman", "yang"])
+@pytest.mark.parametrize("x", [mp.nan, mp.inf, -mp.inf], ids=["nan", "inf", "-inf"])
+def test_published_bounds_reject_nonfinite(which, x):
+    with pytest.raises(ValueError):
+        published_bounds(x, which, CTX34)
+
+
+def test_taylor_value_is_its_polynomial():
+    t9 = taylor(9)
+    with CTX34.workdps():
+        for x in (mp.mpf("0.3"), mp.mpf("1.7"), mp.mpf(-2)):
+            assert t9.value(x, CTX34) == t9.poly.eval_mpf(x) / sqrt_pi()
