@@ -17,7 +17,6 @@ from .grids import (
     GridApproximant,
     build_grid_table,
     build_nonuniform_grid,
-    eval_grid_spline,
     eval_nonuniform,
     floor_cells,
 )

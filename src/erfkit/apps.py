@@ -64,7 +64,7 @@ def output_power(a, ctx: PrecisionContext = CTX34):
         )
 
 
-def _periodic_trapezoid(f, period, ctx: PrecisionContext, start_nodes: int = 4096):
+def _periodic_trapezoid(f, period, ctx: PrecisionContext, start_nodes: int):
     """Composite trapezoid over one period, doubling nodes until stable."""
     with ctx.workdps():
         tol = mp.mpf(10) ** (-(ctx.working_digits + 2))
@@ -81,7 +81,7 @@ def _periodic_trapezoid(f, period, ctx: PrecisionContext, start_nodes: int = 409
                 raise ArithmeticError("periodic quadrature failed to settle")
 
 
-def output_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int = 256):
+def output_power_quadrature(a, ctx: PrecisionContext = CTX34):
     """Oracle for the output power: mean of erf^2(a sin(2 pi t)) over a period.
 
     The integrand has period 1/2, so the rule integrates over [0, 1/2].
@@ -93,7 +93,7 @@ def output_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int =
         def f(t):
             return erf_ref(am * mp.sin(two_pi * t), ctx) ** 2
 
-        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, start_nodes) * 2
+        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, 256) * 2
 
 
 # The order-4 spline approximant y_4 (odd extension built in).
@@ -147,7 +147,7 @@ def harmonic_levels(a, k: int, ctx: PrecisionContext = CTX34):
         )
 
 
-def y4_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int = 256):
+def y4_power_quadrature(a, ctx: PrecisionContext = CTX34):
     """Mean of y4^2 over a period: the total power carried by the harmonics."""
     with ctx.workdps():
         am = as_mpf(a)
@@ -156,10 +156,10 @@ def y4_power_quadrature(a, ctx: PrecisionContext = CTX34, start_nodes: int = 256
         def f(t):
             return _Y4.value(am * mp.sin(two_pi * t), ctx) ** 2
 
-        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, start_nodes) * 2
+        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, 256) * 2
 
 
-def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34, start_nodes: int = 4096):
+def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34):
     """Oracle for c_{4,k}/sqrt(T): sqrt(2) * integral over one period of y4 * sin(2 pi k t)."""
     if k % 2 == 0:
         return mp.mpf(0)
@@ -170,17 +170,18 @@ def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34, start_nodes: i
         def f(t):
             return _Y4.value(am * mp.sin(two_pi * t), ctx) * mp.sin(two_pi * k * t)
 
-        return mp.sqrt(2) * _periodic_trapezoid(f, mp.mpf(1), ctx, start_nodes)
+        return mp.sqrt(2) * _periodic_trapezoid(f, mp.mpf(1), ctx, 4096)
 
 
-def arbitrate_harmonics(a, ctx: PrecisionContext = CTX34, rel_tol=None) -> dict:
+def arbitrate_harmonics(a, ctx: PrecisionContext = CTX34) -> dict:
     """Compare each printed harmonic form with the quadrature oracle.
 
     Returns {k: (closed, quadrature, deviation, flagged)}; a flagged entry
-    means the transcription fails arbitration and the oracle value governs.
+    (relative deviation above 1e-3, the base approximant's accuracy) means the
+    transcription fails arbitration and the oracle value governs.
     """
     with ctx.workdps():
-        tol = mp.mpf("1e-3") if rel_tol is None else mp.mpf(rel_tol)
+        tol = mp.mpf("1e-3")
         report = {}
         for k in (1, 3, 5, 7):
             closed = harmonic_levels(a, k, ctx)

@@ -28,7 +28,7 @@ from .apps import (
     output_power,
     output_power_quadrature,
 )
-from .exact import RationalPolynomial
+from .exact import RationalPolynomial, as_mpf
 from .gauss import RationalFunctionApproximant, build_erf_series, build_gauss_g, build_gauss_h
 from .grids import GridApproximant, build_grid_table
 from .oracle import PrecisionContext
@@ -206,7 +206,12 @@ def cmd_sweep(args) -> int:
         approx, _ = improved(approx, interval, args.points, ctx)
     elif args.transition not in (None, "none"):
         with ctx.workdps():
-            approx = PiecewiseApproximant(approx, mp.mpf(args.transition))
+            try:
+                x_o = as_mpf(args.transition)
+            except ValueError as exc:
+                msg = "erfkit sweep: --transition must be auto, none or a finite number"
+                raise SystemExit("%s, got %r" % (msg, args.transition)) from exc
+        approx = PiecewiseApproximant(approx, x_o)
     report = run_sweep(approx, interval, args.points, ctx)
     out, close = _open_out(args.out)
     writer = csv.writer(out)

@@ -9,7 +9,6 @@ the active mpmath precision and evaluates in Horner form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,10 +36,11 @@ def fraction_to_mpf(q: Fraction):
 
 
 def as_mpf(value):
-    """mpf from mpf/int/float/str/Fraction at the current working precision."""
-    if isinstance(value, Fraction):
-        return fraction_to_mpf(value)
-    return mp.mpf(value)
+    """mpf from mpf/int/float/str/Fraction at the current precision; NaN and inf raise ValueError."""
+    xm = fraction_to_mpf(value) if isinstance(value, Fraction) else mp.mpf(value)
+    if not mp.isfinite(xm):
+        raise ValueError("expected a finite number, got %r" % value)
+    return xm
 
 
 class RationalPolynomial:
@@ -255,10 +255,6 @@ class PolyExpSum:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, factor):
-        factor = Fraction(factor)
-        return PolyExpSum([(r, p * factor) for r, p in self.terms])
-
     def subst_scale(self, scale):
         """Substitute x -> scale*x; rates pick up a factor scale^2."""
         scale = Fraction(scale)
@@ -352,25 +348,11 @@ def spline_coeff(n: int, k: int) -> Fraction:
     ) * Fraction(math.factorial(2 * n + 1 - k), 2 * math.factorial(2 * n + 1))
 
 
-@dataclass(frozen=True)
-class HermiteTable:
-    """Rows of the derivative polynomials p(k,x); row k has degree k, parity k."""
-
-    max_order: int
-    rows: tuple
-
-    def __getitem__(self, k: int) -> RationalPolynomial:
-        return self.rows[k]
-
-    def __len__(self):
-        return len(self.rows)
-
-
 _hermite_rows = [RationalPolynomial([1])]
 
 
-def hermite_table(max_order: int) -> HermiteTable:
-    """Table of p(k,x) from the recurrence p(k) = p'(k-1) - 2x p(k-1), p(0) = 1.
+def hermite_table(max_order: int) -> tuple:
+    """Rows p(k,x), k = 0..max_order, from p(k) = p'(k-1) - 2x p(k-1), p(0) = 1.
 
     Equals (-1)^k H_k(x) with H_k the physicists' Hermite polynomial.
     """
@@ -379,7 +361,7 @@ def hermite_table(max_order: int) -> HermiteTable:
     while len(_hermite_rows) <= max_order:
         prev = _hermite_rows[-1]
         _hermite_rows.append(prev.derivative() - 2 * (X_POLY * prev))
-    return HermiteTable(max_order, tuple(_hermite_rows[: max_order + 1]))
+    return tuple(_hermite_rows[: max_order + 1])
 
 
 def hermite_explicit(k: int) -> RationalPolynomial:

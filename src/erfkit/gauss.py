@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import PolyExpSum, RationalPolynomial, spline_coeff
-from .oracle import CTX34, PrecisionContext, finite_mpf
+from .exact import PolyExpSum, RationalPolynomial, as_mpf, spline_coeff
+from .oracle import CTX34, PrecisionContext
 from .spline import (
     PolyExpApproximant,
     SplineApproximant,
@@ -36,7 +36,7 @@ class RationalFunctionApproximant:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = finite_mpf(x)
+            xm = as_mpf(x)
             return self.numerator.eval_mpf(xm) / self.denominator.eval_mpf(xm)
 
 

@@ -16,13 +16,14 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import (
+    as_mpf,
     fraction_to_mpf,
     hermite_table,
     hermite_values_mpf,
     mpf_to_fraction,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, erf_ref, finite_mpf, sqrt_pi
+from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 
 
 def floor_cells(x, delta) -> tuple:
@@ -30,11 +31,10 @@ def floor_cells(x, delta) -> tuple:
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("resolution must be positive")
-    xm = mp.mpf(x)
+    xm = as_mpf(x)
     if xm < 0:
         raise ValueError("floor_cells requires x >= 0")
-    fx = mpf_to_fraction(xm)
-    index = int(fx / delta) if fx >= 0 else 0
+    index = int(mpf_to_fraction(xm) / delta)
     offset = xm - fraction_to_mpf(delta * index)
     return index, offset
 
@@ -100,7 +100,7 @@ def _corrected(base, weights, xm, offset, pk_alpha, ealpha):
     return base + acc / sqrt_pi()
 
 
-class GridApproximant:
+class GridApproximant(OddApproximant):
     """Order-n spline correction on top of a GridTable; valid for covered x."""
 
     def __init__(self, order: int, table: GridTable):
@@ -122,27 +122,18 @@ class GridApproximant:
             self._cell_cache[key] = hit
         return hit
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = finite_mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            index, offset = floor_cells(xm, self.table.resolution)
-            if index > self.table.k_max:
-                if not self.table.saturated:
-                    raise ValueError(
-                        "x = %s lies beyond the tabulated grid (k_max = %d)"
-                        % (mp.nstr(xm, 8), self.table.k_max)
-                    )
-                base = self.table.partial[-1]
-            else:
-                base = self.table.partial[index]
-            return _corrected(base, self._coeffs, xm, offset, *self._cell_data(index))
-
-
-def eval_grid_spline(n: int, table: GridTable, x, ctx: PrecisionContext = CTX34):
-    """One-shot evaluation of the order-n grid spline (see GridApproximant)."""
-    return GridApproximant(n, table).value(x, ctx)
+    def positive(self, xm, ctx: PrecisionContext):
+        index, offset = floor_cells(xm, self.table.resolution)
+        if index > self.table.k_max:
+            if not self.table.saturated:
+                raise ValueError(
+                    "x = %s lies beyond the tabulated grid (k_max = %d)"
+                    % (mp.nstr(xm, 8), self.table.k_max)
+                )
+            base = self.table.partial[-1]
+        else:
+            base = self.table.partial[index]
+        return _corrected(base, self._coeffs, xm, offset, *self._cell_data(index))
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ class NonUniformGrid:
 
 def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGrid:
     with ctx.workdps():
-        ks = [mp.mpf(k) for k in knots]
+        ks = [as_mpf(k) for k in knots]
         if any(b <= a for a, b in zip(ks, ks[1:])) or (ks and ks[0] <= 0):
             raise ValueError("knots must be strictly increasing and positive")
         cs = [mp.mpf(0)]
@@ -174,7 +165,7 @@ def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGri
 def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX34):
     """Order-n spline from the largest knot x_S <= x; x may exceed the last knot."""
     with ctx.workdps():
-        xm = finite_mpf(x)
+        xm = as_mpf(x)
         if xm < 0:
             return -eval_nonuniform(n, grid, -xm, ctx)
         idx = 0

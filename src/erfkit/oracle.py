@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from .exact import as_mpf
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -48,12 +50,19 @@ def sqrt_pi():
     return mp.sqrt(mp.pi)
 
 
-def finite_mpf(x):
-    """mpf(x) at the current precision; NaN and infinities raise ValueError."""
-    xm = mp.mpf(x)
-    if not mp.isfinite(xm):
-        raise ValueError("x must be finite, got %r" % x)
-    return xm
+class OddApproximant:
+    """Odd erf approximant; subclasses give ``positive(xm, ctx)`` for mpf xm >= 0.
+
+    ``value`` converts x at the working precision of ctx (NaN and infinities
+    raise ValueError) and extends ``positive`` to x < 0 by odd symmetry.
+    """
+
+    def value(self, x, ctx: PrecisionContext = CTX34):
+        with ctx.workdps():
+            xm = as_mpf(x)
+            if xm < 0:
+                return -self.positive(-xm, ctx)
+            return self.positive(xm, ctx)
 
 
 def erf_ref(x, ctx: PrecisionContext = CTX34):
@@ -65,7 +74,7 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
     2x^2/(2n+3) has fallen below 1/2 (geometric tail).
     """
     with ctx.workdps():
-        xm = finite_mpf(x)
+        xm = as_mpf(x)
         if xm < 0:
             return -erf_ref(-xm, ctx)
         if xm == 0:
@@ -91,7 +100,7 @@ def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):
     if order not in (0, 1):
         raise ValueError("bessel_i supports order 0 or 1, got %r" % order)
     with ctx.workdps():
-        zm = mp.mpf(z)
+        zm = as_mpf(z)
         if zm < 0:
             raise ValueError("bessel_i requires z >= 0, got %r" % z)
         half = zm / 2
@@ -114,7 +123,7 @@ def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):
 
 def relative_error(approx_value, ref_value):
     """Signed relative error 1 - approx/ref; the reference must be nonzero."""
-    ref = mp.mpf(ref_value)
+    ref = as_mpf(ref_value)
     if ref == 0:
         raise ValueError("relative_error undefined for ref_value = 0")
-    return 1 - mp.mpf(approx_value) / ref
+    return 1 - as_mpf(approx_value) / ref

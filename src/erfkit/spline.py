@@ -19,22 +19,19 @@ from .exact import (
     PolyExpSum,
     RationalPolynomial,
     ZERO_POLY,
+    as_mpf,
     hermite_at_zero,
     hermite_table,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
+from .oracle import CTX34, OddApproximant, PrecisionContext, sqrt_pi
 
 
-class PolyExpApproximant:
+class PolyExpApproximant(OddApproximant):
     """Odd erf approximant whose ``form`` is sqrt(pi) times its value on x >= 0."""
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = finite_mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            return self.form.eval_raw(xm) / sqrt_pi()
+    def positive(self, xm, ctx: PrecisionContext):
+        return self.form.eval_raw(xm) / sqrt_pi()
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class IntervalSpline:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = finite_mpf(x)
+            xm = as_mpf(x)
             ea = mp.exp(-mp.mpf(self.alpha.numerator) ** 2 / self.alpha.denominator**2)
             ex = mp.exp(-xm * xm)
             return (self.poly_alpha.eval_mpf(xm) * ea + self.poly_x.eval_mpf(xm) * ex) / sqrt_pi()
@@ -178,12 +175,11 @@ def build_interval_spline(n: int, alpha) -> IntervalSpline:
     return IntervalSpline(n, alpha, poly_alpha, poly_x)
 
 
-class ConstantOneTail:
+class ConstantOneTail(OddApproximant):
     """Large-argument approximation erf(x) ~ 1 (signed for negative x)."""
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        xm = finite_mpf(x)
-        return mp.mpf(1) if xm >= 0 else mp.mpf(-1)
+    def positive(self, xm, ctx: PrecisionContext):
+        return mp.mpf(1)
 
 
 class GaussTail:
@@ -191,7 +187,7 @@ class GaussTail:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = finite_mpf(x)
+            xm = as_mpf(x)
             if xm <= 0:
                 raise ValueError("second tail form requires x > 0")
             return 1 - mp.exp(-xm * xm) / (sqrt_pi() * xm)

@@ -22,16 +22,17 @@ import mpmath as mp
 from .exact import (
     PolyExpSum,
     RationalPolynomial,
+    as_mpf,
     fraction_to_mpf,
     hermite_table,
     integrate_odd,
     spline_coeff,
 )
-from .oracle import CTX34, PrecisionContext, finite_mpf, sqrt_pi
+from .oracle import CTX34, OddApproximant, PrecisionContext, sqrt_pi
 
 
 @dataclass(frozen=True)
-class SqrtForm:
+class SqrtForm(OddApproximant):
     """Approximant sqrt(q0 + sum_i q_i(x) e^(-k_i x^2)) / sqrt(pi), all pi-scaled.
 
     q0 and the q_i coefficients are pi times the true radicand constants, so
@@ -58,22 +59,18 @@ class SqrtForm:
     def radicand_value(self, x, ctx: PrecisionContext = CTX34):
         """pi-scaled radicand at x (may be a rounding hair below zero near 0)."""
         with ctx.workdps():
-            return self.radicand().eval_raw(finite_mpf(x))
+            return self.radicand().eval_raw(as_mpf(x))
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = finite_mpf(x)
-            if xm < 0:
-                return -self.value(-xm, ctx)
-            r = self.radicand_value(xm, ctx)
-            if r < 0:
-                if r < -(mp.mpf(10) ** (-(ctx.working_digits - 2))):
-                    raise ArithmeticError(
-                        "radicand significantly negative at x=%s: %s"
-                        % (mp.nstr(xm, 8), mp.nstr(r, 5))
-                    )
-                r = mp.mpf(0)
-            return mp.sqrt(r) / sqrt_pi()
+    def positive(self, xm, ctx: PrecisionContext):
+        r = self.radicand().eval_raw(xm)
+        if r < 0:
+            if r < -(mp.mpf(10) ** (-(ctx.working_digits - 2))):
+                raise ArithmeticError(
+                    "radicand significantly negative at x=%s: %s"
+                    % (mp.nstr(xm, 8), mp.nstr(r, 5))
+                )
+            r = mp.mpf(0)
+        return mp.sqrt(r) / sqrt_pi()
 
 
 def alpha_coeffs(n: int) -> list:
@@ -163,7 +160,7 @@ class ComplementaryDemarcation:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = finite_mpf(x)
+            xm = as_mpf(x)
             r = 1 - self.form.radicand_value(xm, ctx) / mp.pi
             if r < 0:
                 r = mp.mpf(0)

@@ -18,7 +18,7 @@ from itertools import chain, islice
 import mpmath as mp
 
 from .exact import PolyExpSum, RationalPolynomial, as_mpf
-from .oracle import CTX34, PrecisionContext, erf_ref, finite_mpf, sqrt_pi
+from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
 
 _REF_GRID_CACHE: dict = {}
@@ -104,16 +104,13 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
 
 
 @dataclass(frozen=True)
-class PiecewiseApproximant:
+class PiecewiseApproximant(OddApproximant):
     """Inner approximant switched to the constant 1 beyond x_o (odd overall)."""
 
     inner: object
     x_o: object
 
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        xm = finite_mpf(x)
-        if xm < 0:
-            return -self.value(-xm, ctx)
+    def positive(self, xm, ctx: PrecisionContext):
         if xm <= self.x_o:
             return self.inner.value(xm, ctx)
         return mp.mpf(1)
@@ -188,40 +185,39 @@ class EnvelopePair:
     eps_b: object
 
     def __post_init__(self):
-        e = mp.mpf(self.eps_b)
+        e = as_mpf(self.eps_b)
         if not 0 < e < 1:
             raise ValueError("envelope requires 0 < eps_B < 1")
 
     def lower(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            return self.base.value(x, ctx) / (1 + mp.mpf(self.eps_b))
+            return self.base.value(x, ctx) / (1 + as_mpf(self.eps_b))
 
     def upper(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            return self.base.value(x, ctx) / (1 - mp.mpf(self.eps_b))
+            return self.base.value(x, ctx) / (1 - as_mpf(self.eps_b))
 
     def bound_errors(self):
         """Worst-case relative errors (lower, upper): 2e/(1+e), 2e/(1-e)."""
-        e = mp.mpf(self.eps_b)
+        e = as_mpf(self.eps_b)
         return 2 * e / (1 + e), 2 * e / (1 - e)
 
 
 envelope = EnvelopePair
 
 
-def published_bounds(x, which: str, ctx: PrecisionContext = CTX34, p=1, q=None):
+def published_bounds(x, which: str, ctx: PrecisionContext = CTX34):
     """Literature lower/upper bounds for erf: 'chu', 'neuman' or 'yang'.
 
-    Chu defaults to p = 1 and the smallest admissible q = 4/pi.
+    Chu is taken with p = 1 and the smallest admissible q = 4/pi.
     """
     with ctx.workdps():
-        xm = finite_mpf(x)
+        xm = as_mpf(x)
         if xm <= 0:
             raise ValueError("published bounds are stated for x > 0")
         u = xm * xm
         if which == "chu":
-            qv = 4 / mp.pi if q is None else mp.mpf(q)
-            return mp.sqrt(1 - mp.exp(-p * u)), mp.sqrt(1 - mp.exp(-qv * u))
+            return mp.sqrt(1 - mp.exp(-u)), mp.sqrt(1 - mp.exp(-(4 / mp.pi) * u))
         if which == "neuman":
             lower = 2 * xm / sqrt_pi() * mp.exp(-u / 3)
             upper = 4 * xm / (3 * sqrt_pi()) * (1 + mp.exp(-u) / 2)

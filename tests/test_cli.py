@@ -98,6 +98,18 @@ def test_sweep_transition_auto(tmp_path):
     assert abs(float(last_re)) < 2e-3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+def test_sweep_rejects_bad_transition(value, tmp_path):
+    # a NaN x_o would fail every comparison and sweep the constant 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "sweep", "--family", "spline", "--order", "2", "--points", "20",
+            "--transition", value, "--out", str(tmp_path / "s.csv"),
+        )
+    assert exc.value.code not in (0, None)
+    assert "--transition must be auto, none or a finite number" in str(exc.value.code)
+
+
 def test_gen_grid_payload():
     code, out = run_cli("gen", "--family", "grid", "--order", "2", "--resolution", "1/2")
     assert code == 0

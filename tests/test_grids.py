@@ -7,7 +7,6 @@ from erfkit.grids import (
     GridApproximant,
     build_grid_table,
     build_nonuniform_grid,
-    eval_grid_spline,
     eval_nonuniform,
     floor_cells,
 )
@@ -123,13 +122,6 @@ def test_beyond_table_raises_unless_saturated():
     with CTX34.workdps():
         v = g2.value(mp.mpf(19), CTX34)
         assert mp.almosteq(v, mp.mpf(1), abs_eps=mp.mpf("1e-30"))
-
-
-def test_eval_grid_spline_oneshot():
-    t = build_grid_table(F(1, 2), 8, CTX34)
-    with CTX34.workdps():
-        x = mp.mpf("1.3")
-        assert eval_grid_spline(2, t, x, CTX34) == GridApproximant(2, t).value(x, CTX34)
 
 
 def test_nonuniform_matches_uniform_on_uniform_knots():

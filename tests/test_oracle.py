@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
@@ -9,7 +11,9 @@ from erfkit import (
     build_subinterval,
     taylor,
 )
+from erfkit.grids import GridApproximant, build_grid_table, build_nonuniform_grid
 from erfkit.oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref, relative_error
+from erfkit.transition import EnvelopePair, PiecewiseApproximant, published_bounds
 
 
 def test_erf_ref_table_values():
@@ -40,6 +44,8 @@ FAMILIES = {
     "sqrt": lambda: build_sqrt(2),
     "gauss_g": lambda: build_gauss_g(2),
     "taylor": lambda: taylor(3),
+    "grid": lambda: GridApproximant(2, build_grid_table(Fraction(1, 2), 16)),
+    "piecewise": lambda: PiecewiseApproximant(build_spline(4), 2),
 }
 
 
@@ -48,6 +54,24 @@ FAMILIES = {
 def test_value_rejects_nonfinite(family, x):
     with pytest.raises(ValueError, match="finite"):
         FAMILIES[family]().value(x, CTX34)
+
+
+# Every entry point that takes a number from outside, as a function of it.
+ENTRY_POINTS = {
+    **{name: (lambda x, make=make: make().value(x, CTX34)) for name, make in FAMILIES.items()},
+    "erf_ref": lambda x: erf_ref(x, CTX34),
+    "bessel_i": lambda x: bessel_i(1, x, CTX34),
+    "published_bounds": lambda x: [published_bounds(x, w, CTX34) for w in ("chu", "neuman", "yang")],
+    "envelope_eps_b": lambda x: EnvelopePair(build_spline(2), x).lower(1, CTX34),
+    "nonuniform_knots": lambda x: build_nonuniform_grid([x, 1], CTX34).partial,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_fraction_converts_at_working_precision(name):
+    with CTX34.workdps():
+        third = mp.mpf(1) / 3
+    assert ENTRY_POINTS[name](Fraction(1, 3)) == ENTRY_POINTS[name](third)
 
 
 def test_erf_ref_double_precision_consistency():
@@ -115,6 +139,12 @@ def test_relative_error():
     assert relative_error(2, 2) == 0
     with pytest.raises(ValueError):
         relative_error(1, 0)
+
+
+def test_relative_error_takes_fractions_and_rejects_nonfinite():
+    assert relative_error(Fraction(1, 2), Fraction(1, 4)) == -1
+    with pytest.raises(ValueError, match="finite"):
+        relative_error(mp.nan, 1)
 
 
 def test_precision_context_validation():

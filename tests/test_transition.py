@@ -225,6 +225,12 @@ def test_published_bounds_reject_nonfinite(which, x):
         published_bounds(x, which, CTX34)
 
 
+def test_piecewise_converts_x_at_working_precision():
+    # "0.1" must be rounded at the working precision, not at 53 bits first
+    inner = build_spline(4)
+    assert PiecewiseApproximant(inner, 2).value("0.1", CTX34) == inner.value("0.1", CTX34)
+
+
 def test_taylor_value_is_its_polynomial():
     t9 = taylor(9)
     with CTX34.workdps():
