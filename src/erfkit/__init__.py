@@ -36,7 +36,7 @@ from .sqrtform import (
     pi_constant_sequence,
     sqrt_transform,
 )
-from .subinterval import sixteen_subinterval_crosscheck, build_subinterval
+from .subinterval import build_subinterval
 from .transition import (
     PiecewiseApproximant,
     envelope,

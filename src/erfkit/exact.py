@@ -134,15 +134,6 @@ class RationalPolynomial:
             [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
         )
 
-    def compose_scale(self, scale):
-        """Substitute x -> scale*x for rational scale."""
-        scale = Fraction(scale)
-        out, s = [], Fraction(1)
-        for c in self.coeffs:
-            out.append(c * s)
-            s *= scale
-        return RationalPolynomial(out)
-
     def is_even_poly(self) -> bool:
         return all(not c for c in self.coeffs[1::2])
 
@@ -254,12 +245,6 @@ class PolyExpSum:
         if not isinstance(other, PolyExpSum):
             return NotImplemented
         return self + (-other)
-
-    def subst_scale(self, scale):
-        """Substitute x -> scale*x; rates pick up a factor scale^2."""
-        scale = Fraction(scale)
-        s2 = scale * scale
-        return PolyExpSum([(r * s2, p.compose_scale(scale)) for r, p in self.terms])
 
     def differentiate(self):
         """d/dx via the product rule on each p(x)exp(-k x^2) term."""

@@ -22,7 +22,6 @@ from .spline import (
     build_spline,
     residual_derivative,
     residual_diagnostics,
-    residual_scale,
 )
 
 
@@ -105,6 +104,4 @@ def build_erf_series(n: int, tail_terms: int) -> ErfSeriesApproximant:
 
 def series_tail_coefficient(n: int, k: int) -> Fraction:
     """Exact coefficient of x^(2n+3+2k)/sqrt(pi) in the residual series."""
-    diag = residual_diagnostics(n, k + 1)
-    power = 2 * n + 3 + 2 * k
-    return diag.g_series[k] / (power * residual_scale(n))
+    return build_erf_series(n, k + 1).tail.coeff(2 * n + 3 + 2 * k)

@@ -1,10 +1,12 @@
-"""Single-interval spline approximants to erf and their residual diagnostics.
+"""Spline approximants to erf, their one exact generator, and residual diagnostics.
 
-The order-n form is
-    f_n(x) = (2/sqrt(pi)) * sum_k c_{n,k} x^(k+1) [p(k,0) + (-1)^k p(k,x) e^(-x^2)]
-stored exactly as a PolyExpSum scaled by sqrt(pi); the 1/sqrt(pi) prefactor is
-applied once at evaluation. All approximants extend to negative arguments by
-odd symmetry (the polynomials involved are all odd).
+The order-n two-point spline rule for the integral of e^(-t^2), applied on m
+equal sub-intervals of [0, x], gives f_{n,m} (``spline_form``); f_n is its
+m = 1 case,
+    f_n(x) = (2/sqrt(pi)) * sum_k c_{n,k} x^(k+1) [p(k,0) + (-1)^k p(k,x) e^(-x^2)].
+Forms are stored exactly as a PolyExpSum scaled by sqrt(pi); the 1/sqrt(pi)
+prefactor is applied once at evaluation. All approximants extend to negative
+arguments by odd symmetry (the polynomials involved are all odd).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .exact import (
     RationalPolynomial,
     ZERO_POLY,
     as_mpf,
-    hermite_at_zero,
     hermite_table,
     spline_coeff,
 )
@@ -42,43 +43,41 @@ class SplineApproximant(PolyExpApproximant):
     form: PolyExpSum
 
 
+def spline_form(n: int, m: int) -> PolyExpSum:
+    """sqrt(pi) * f_{n,m}: the order-n rule on each [jx/m, (j+1)x/m], collected by endpoint.
+
+    Each endpoint t = j/m is walked once. Term k carries weight 1 there as a
+    left end (j < m) and (-1)^k as a right end (j > 0), so interior odd-k
+    terms cancel; the Hermite coefficient a_i of p(k, t x) contributes
+    2 c_{n,k} a_i t^i / m^(k+1) to the power i+k+1 under e^(-t^2 x^2).
+    """
+    table = hermite_table(n)
+    scales = [2 * spline_coeff(n, k) / Fraction(m) ** (k + 1) for k in range(n + 1)]
+    terms = []
+    for j in range(m + 1):
+        t = Fraction(j, m)
+        t_pow = [t**i for i in range(n + 1)]
+        coeffs = [Fraction(0)] * (2 * n + 2)
+        for k, scale in enumerate(scales):
+            weight = (j < m) + (j > 0) * (-1) ** k
+            if weight:
+                for i, a in enumerate(table[k].coeffs):
+                    if a and t_pow[i]:
+                        coeffs[i + k + 1] += weight * scale * a * t_pow[i]
+        terms.append((t * t, coeffs))
+    return PolyExpSum(terms)
+
+
 def build_spline(n: int) -> SplineApproximant:
-    """Generate f_n with exact rational coefficients (decay rates {0, 1})."""
+    """Generate f_n, the one-interval case of ``spline_form`` (decay rates {0, 1})."""
     if n < 0 or n > 64:
         raise ValueError("spline order must be in 0..64, got %r" % n)
-    table = hermite_table(n)
-    poly0 = ZERO_POLY
-    poly1 = ZERO_POLY
-    for k in range(n + 1):
-        c2 = 2 * spline_coeff(n, k)
-        pk0 = hermite_at_zero(k)
-        if pk0:
-            poly0 = poly0 + RationalPolynomial([c2 * pk0]).mul_x_power(k + 1)
-        sign = -1 if k % 2 else 1
-        poly1 = poly1 + (sign * c2) * table[k].mul_x_power(k + 1)
-    return SplineApproximant(n, PolyExpSum([(0, poly0), (1, poly1)]))
+    return SplineApproximant(n, spline_form(n, 1))
 
 
 def residual_derivative(n: int) -> PolyExpSum:
-    """Exact derivative of the residual erf - f_n, stored as sqrt(pi)*eps'_n.
-
-    sqrt(pi)*eps'_n = 2e^(-x^2)
-        - 2 sum_k c_{n,k}(k+1) x^k p(k,0)
-        - 2e^(-x^2) sum_k c_{n,k}(-1)^k x^k [(k+1-2x^2) p(k,x) + x p'(k,x)]
-    """
-    table = hermite_table(n)
-    poly0 = ZERO_POLY
-    poly1 = RationalPolynomial([2])
-    for k in range(n + 1):
-        c = spline_coeff(n, k)
-        pk0 = hermite_at_zero(k)
-        if pk0:
-            poly0 = poly0 + RationalPolynomial([-2 * c * (k + 1) * pk0]).mul_x_power(k)
-        pk = table[k]
-        bracket = RationalPolynomial([k + 1, 0, -2]) * pk + pk.derivative().mul_x_power(1)
-        sign = 1 if k % 2 else -1  # (-1)^(k+1)
-        poly1 = poly1 + (2 * sign * c) * bracket.mul_x_power(k)
-    return PolyExpSum([(0, poly0), (1, poly1)])
+    """Exact derivative of the residual erf - f_n: sqrt(pi)*eps'_n = 2e^(-x^2) - sqrt(pi)*f_n'."""
+    return PolyExpSum([(1, [2])]) - build_spline(n).form.differentiate()
 
 
 @dataclass(frozen=True)

@@ -197,10 +197,11 @@ class EnvelopePair:
         with ctx.workdps():
             return self.base.value(x, ctx) / (1 - as_mpf(self.eps_b))
 
-    def bound_errors(self):
-        """Worst-case relative errors (lower, upper): 2e/(1+e), 2e/(1-e)."""
-        e = as_mpf(self.eps_b)
-        return 2 * e / (1 + e), 2 * e / (1 - e)
+    def bound_errors(self, ctx: PrecisionContext = CTX34):
+        """Worst-case relative errors (lower, upper): 2e/(1+e), 2e/(1-e) at ctx's precision."""
+        with ctx.workdps():
+            e = as_mpf(self.eps_b)
+            return 2 * e / (1 + e), 2 * e / (1 - e)
 
 
 envelope = EnvelopePair

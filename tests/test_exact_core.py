@@ -96,11 +96,6 @@ def test_polyexp_differentiate_fixture():
     assert s.differentiate() == PolyExpSum([(1, [1, 0, -2])])
 
 
-def test_polyexp_substitute_scale_fixture():
-    s = PolyExpSum([(1, [0, 1])])
-    assert s.subst_scale(F(1, 4)) == PolyExpSum([(F(1, 16), [0, F(1, 4)])])
-
-
 def test_integrate_odd_monomial_fixture():
     const, poly = integrate_odd_monomial(1, 1)
     assert const == F(1, 2)

@@ -3,11 +3,39 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from erfkit.exact import RationalPolynomial
+from erfkit.exact import PolyExpSum, RationalPolynomial, hermite_explicit, spline_coeff
 from erfkit.oracle import CTX34
 from erfkit.spline import build_interval_spline, build_spline
-from erfkit.subinterval import sixteen_subinterval_crosscheck, build_subinterval
+from erfkit.subinterval import build_subinterval
 from erfkit.transition import optimize_transition
+
+
+def per_cell_form(n, m):
+    """sqrt(pi) f_{n,m} summed cell by cell from the paper's formula.
+
+    Each cell [ix/m, (i+1)x/m] contributes
+    2 sum_k c_{n,k} (x/m)^(k+1) [p(k, ix/m) e^(-(ix/m)^2) + (-1)^k p(k, (i+1)x/m) e^(-((i+1)x/m)^2)],
+    so every interior endpoint is expanded twice, once per cell that shares it.
+    """
+    x_m = RationalPolynomial([0, F(1, m)])
+    terms = []
+    for i in range(m):
+        for k in range(n + 1):
+            step = RationalPolynomial([2 * spline_coeff(n, k) / F(m) ** (k + 1)]).mul_x_power(k + 1)
+            for end, sign in ((i, 1), (i + 1, (-1) ** k)):
+                # p(k, end*x/m) by Horner in the polynomial end*x/m
+                p_end = RationalPolynomial()
+                for c in reversed(hermite_explicit(k).coeffs):
+                    p_end = p_end * (end * x_m) + RationalPolynomial([c])
+                terms.append((F(end * end, m * m), sign * (step * p_end)))
+    return PolyExpSum(terms)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_generator_equals_per_cell_sum(n):
+    for m in range(1, 7):
+        assert build_subinterval(n, m).form == per_cell_form(n, m), m
+    assert build_spline(n).form == per_cell_form(n, 1)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -100,11 +128,40 @@ def test_fourth_order_four_subinterval_matches_print():
             assert poly.coeff(power) == coeff, (rate, power)
 
 
+# Printed sixteen-sub-interval fourth-order expression, sqrt(pi)-scaled. Each
+# row is (rate numerator over 256, leading 1/16 or 1/8 prefactor, bracket
+# coefficients of x, x^3, x^5, ...).
+PRINTED_F416 = [
+    (0, F(1, 16), [1, F(-16, 73728), F(16, 1321205760), 0, 0]),
+    (1, F(1, 8), [1, F(-1, 4608), F(47, 27525120), F(-1, 5284823040), F(1, 4058744094720)]),
+    (4, F(1, 8), [1, F(-1, 4608), F(187, 27525120), F(-1, 1321205760), F(1, 253671505920)]),
+    (9, F(1, 8), [1, F(-1, 4608), F(1261, 82575360), F(-1, 587202560), F(3, 150323855360)]),
+    (16, F(1, 8), [1, F(-1, 4608), F(249, 9175040), F(-1, 330301440), F(1, 15854469120)]),
+    (25, F(1, 8), [1, F(-1, 4608), F(389, 9175040), F(-5, 1056964608), F(125, 811748818944)]),
+    (36, F(1, 8), [1, F(-1, 4608), F(5041, 82575360), F(-1, 146800640), F(3, 9395240960)]),
+    (49, F(1, 8), [1, F(-1, 4608), F(2287, 27525120), F(-7, 754974720), F(343, 579820584960)]),
+    (64, F(1, 8), [1, F(-1, 4608), F(2987, 27525120), F(-1, 82575360), F(1, 990904320)]),
+    (81, F(1, 8), [1, F(-1, 4608), F(11341, 82575360), F(-9, 587202560), F(243, 150323855360)]),
+    (100, F(1, 8), [1, F(-1, 4608), F(4667, 27525120), F(-5, 264241152), F(125, 50734301184)]),
+    (121, F(1, 8), [1, F(-1, 4608), F(5647, 27525120), F(-121, 5284823040), F(14641, 4058744094720)]),
+    (144, F(1, 8), [1, F(-1, 4608), F(20161, 82575360), F(-1, 36700160), F(3, 587202560)]),
+    (169, F(1, 8), [1, F(-1, 4608), F(2629, 9175040), F(-169, 5284823040), F(28561, 4058744094720)]),
+    (196, F(1, 8), [1, F(-1, 4608), F(3049, 9175040), F(-7, 188743680), F(343, 36238786560)]),
+    (225, F(1, 8), [1, F(-1, 4608), F(31501, 82575360), F(-5, 117440512), F(375, 30064771072)]),
+    (256, F(1, 16), [1, F(127, 4608), F(3929, 9175040), F(79, 20643840), F(1, 61931520)]),
+]
+
+
 def test_sixteen_subinterval_crosscheck_clean():
-    rep = sixteen_subinterval_crosscheck()
-    assert rep.rates_generated == 17
-    assert rep.rates_transcribed == 17
-    assert rep.clean, rep.mismatches
+    terms = []
+    for num, pref, bracket in PRINTED_F416:
+        coeffs = [F(0)] * (2 * len(bracket))
+        for j, c in enumerate(bracket):
+            coeffs[2 * j + 1] = pref * F(c)
+        terms.append((F(num, 256), coeffs))
+    form = build_subinterval(4, 16).form
+    assert len(form.rates) == 17
+    assert form == PolyExpSum(terms)
 
 
 def test_telescoping_against_interval_splines():

@@ -134,6 +134,15 @@ def test_envelope_containment_and_bounds():
         assert hi == 2 * e / (1 - e)
 
 
+def test_bound_errors_use_working_precision():
+    # outside any precision block the bounds still carry CTX34's digits
+    lo, hi = EnvelopePair(build_spline(4), "1e-6").bound_errors()
+    with CTX34.workdps():
+        e = mp.mpf("1e-6")
+        assert lo == 2 * e / (1 + e)
+        assert hi == 2 * e / (1 - e)
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         EnvelopePair(build_spline(2), mp.mpf(1))
