@@ -5,7 +5,6 @@ series, bound envelopes, harmonic distortion, filtered step response)."""
 
 from .exact import (
     PolyExpSum,
-    Rational,
     RationalPolynomial,
     hermite_table,
     integrate_odd,
@@ -20,13 +19,12 @@ from .grids import (
     eval_nonuniform,
     floor_cells,
 )
-from .oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref, relative_error
+from .oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref
 from .spline import (
     build_interval_spline,
     build_spline,
     residual_derivative,
     residual_diagnostics,
-    tail_approximants,
 )
 from .sqrtform import (
     alpha_coeffs,

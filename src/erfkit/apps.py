@@ -21,20 +21,6 @@ from .spline import build_spline
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class DistortionModel:
-    """Sinusoid a*sin(2 pi f_o t) through an erf limiter; f_o only sets T = 1/f_o."""
-
-    amplitude: object
-    f_o: object = 1
-
-    def power(self, ctx: PrecisionContext = CTX34):
-        return output_power(self.amplitude, ctx)
-
-    def harmonic(self, k: int, ctx: PrecisionContext = CTX34):
-        return harmonic_levels(self.amplitude, k, ctx)
-
-
 def output_power(a, ctx: PrecisionContext = CTX34):
     """Closed-form output power from the order-3 sqrt approximant.
 

@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -29,14 +30,19 @@ from .apps import (
     output_power_quadrature,
 )
 from .exact import RationalPolynomial, as_mpf
-from .gauss import RationalFunctionApproximant, build_erf_series, build_gauss_g, build_gauss_h
-from .grids import GridApproximant, build_grid_table
+from .gauss import (
+    ErfSeriesApproximant,
+    RationalFunctionApproximant,
+    build_erf_series,
+    build_gauss_g,
+    build_gauss_h,
+)
+from .grids import covering_grid
 from .oracle import PrecisionContext
 from .render import (
     decimal_string,
     frac_str,
     mp_str,
-    parse_frac,
     parse_polyexp,
     polyexp_payload,
     polyexp_str,
@@ -56,8 +62,6 @@ from .transition import (
 
 SCHEMA = "erfkit-approximant/1"
 
-FAMILIES = ("spline", "subinterval", "grid", "sqrt", "taylor", "series", "gauss_g", "gauss_h")
-
 
 def _parse_interval(text: str):
     a, _, b = text.partition(":")
@@ -73,112 +77,132 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("bad rational %r" % text) from exc
 
 
+class Family(NamedTuple):
+    """One ``--family``: its builder, the one family flag it takes, its payload and its reader."""
+
+    build: Callable  # (order, flag value, interval, ctx) -> approximant
+    flag: str | None  # the family flag besides --order, as an args attribute
+    fields: Callable  # (approx, ctx) -> payload entries after schema, family, order, digits
+    read: Callable  # payload -> the exact approximant
+    default: int | None = None  # value of an omitted flag; without one the flag is required
+
+
+def _scaled(exact: dict, rendered: str) -> dict:
+    """Payload of a sqrt(pi)-scaled form: its exact parts and its formula over sqrt(pi)."""
+    return {"prefactor": "1/sqrt(pi)", **exact, "rendered": rendered + "/sqrt(pi)"}
+
+
+def _spline_fields(approx, ctx) -> dict:
+    return _scaled({"terms": polyexp_payload(approx.form)}, "(%s)" % polyexp_str(approx.form))
+
+
+def _series_fields(approx, ctx) -> dict:
+    base, tail = approx.base.form, approx.tail
+    exact = {"terms": polyexp_payload(base), "tail": tail.coeffs}
+    rendered = "(%s + %s)" % (polyexp_str(base), poly_str(tail))
+    return {"tail_terms": approx.tail_terms, **_scaled(exact, rendered)}
+
+
+def _sqrt_fields(approx, ctx) -> dict:
+    radicand = approx.radicand()
+    return _scaled({"radicand": polyexp_payload(radicand)}, "sqrt(%s)" % polyexp_str(radicand))
+
+
+def _taylor_fields(approx, ctx) -> dict:
+    return _scaled({"coefficients": approx.poly.coeffs}, "(%s)" % poly_str(approx.poly))
+
+
+def _gauss_fields(approx, ctx) -> dict:
+    num, den = approx.numerator, approx.denominator
+    return {
+        "target": "exp(-x^2)",
+        "numerator": num.coeffs,
+        "denominator": den.coeffs,
+        "rendered": "(%s)/(%s)" % (poly_str(num), poly_str(den)),
+    }
+
+
+def _grid_fields(approx, ctx) -> dict:
+    table = approx.table
+    return {
+        "resolution": table.resolution,
+        "c": [decimal_string(c, ctx.working_digits) if c else "0" for c in table.c],
+        "rendered": "grid(delta=%s, order=%d, k_max=%d)"
+        % (table.resolution, approx.order, table.k_max),
+    }
+
+
+def _read_spline(payload) -> SplineApproximant:
+    return SplineApproximant(payload["order"], parse_polyexp(payload["terms"]))
+
+
+def _read_taylor(payload) -> TaylorApproximant:
+    return TaylorApproximant(payload["order"], RationalPolynomial(payload["coefficients"]))
+
+
+def _read_grid(payload):
+    raise ValueError("grid payloads do not round-trip: their c values are decimal strings")
+
+
+def _read_sqrt(payload) -> SqrtForm:
+    form = parse_polyexp(payload["radicand"])
+    terms = tuple((r, p) for r, p in form.terms if r != 0)
+    return SqrtForm(payload["order"], form.poly_at(0).coeff(0), terms)
+
+
+def _read_series(payload) -> ErfSeriesApproximant:
+    base, tail = _read_spline(payload), RationalPolynomial(payload["tail"])
+    return ErfSeriesApproximant(payload["order"], base, payload["tail_terms"], tail)
+
+
+def _read_gauss(payload) -> RationalFunctionApproximant:
+    num, den = (RationalPolynomial(payload[key]) for key in ("numerator", "denominator"))
+    return RationalFunctionApproximant(payload["order"], num, den)
+
+
+FAMILIES = {
+    "spline": Family(lambda n, *_: build_spline(n), None, _spline_fields, _read_spline),
+    "subinterval": Family(
+        lambda n, m, *_: build_subinterval(n, m),
+        "subintervals",
+        lambda approx, ctx: {"subintervals": approx.subintervals, **_spline_fields(approx, ctx)},
+        lambda p: SubintervalApproximant(p["order"], p["subintervals"], parse_polyexp(p["terms"])),
+    ),
+    "grid": Family(covering_grid, "resolution", _grid_fields, _read_grid),
+    "sqrt": Family(lambda n, *_: build_sqrt(n), None, _sqrt_fields, _read_sqrt),
+    "taylor": Family(lambda n, *_: taylor(n), None, _taylor_fields, _read_taylor),
+    "series": Family(
+        lambda n, tail_terms, *_: build_erf_series(n, tail_terms),
+        "tail_terms",
+        _series_fields,
+        _read_series,
+        default=2,
+    ),
+    "gauss_g": Family(lambda n, *_: build_gauss_g(n), None, _gauss_fields, _read_gauss),
+    "gauss_h": Family(lambda n, *_: build_gauss_h(n), None, _gauss_fields, _read_gauss),
+}
+
+
 def build_approximant(args, ctx: PrecisionContext):
-    """Approximant object plus a JSON-able descriptor from CLI flags."""
-    family = args.family
-    desc = {"family": family, "order": args.order, "digits": ctx.working_digits}
-    if family == "spline":
-        return build_spline(args.order), desc
-    if family == "subinterval":
-        m = args.subintervals
-        if m is None:
-            raise SystemExit("subinterval family needs --subintervals")
-        desc["subintervals"] = m
-        return build_subinterval(args.order, m), desc
-    if family == "grid":
-        if args.resolution is None:
-            raise SystemExit("grid family needs --resolution p/q")
-        desc["resolution"] = frac_str(args.resolution)
-        span = args.interval[1] if args.interval else Fraction(8)
-        k_max = int(span / args.resolution) + 2
-        table = build_grid_table(args.resolution, k_max, ctx)
-        return GridApproximant(args.order, table), desc
-    if family == "sqrt":
-        return build_sqrt(args.order), desc
-    if family == "taylor":
-        if args.order % 2 == 0:
-            raise SystemExit("taylor order must be odd")
-        return taylor(args.order), desc
-    if family == "series":
-        tail = args.tail_terms or 2
-        desc["tail_terms"] = tail
-        return build_erf_series(args.order, tail), desc
-    if family == "gauss_g":
-        return build_gauss_g(args.order), desc
-    if family == "gauss_h":
-        return build_gauss_h(args.order), desc
-    raise SystemExit("unknown family %r" % family)
-
-
-def _gen_payload(args, ctx: PrecisionContext) -> dict:
-    approx, desc = build_approximant(args, ctx)
-    payload = {"schema": SCHEMA, **desc}
-    if args.family in ("spline", "subinterval"):
-        payload["prefactor"] = "1/sqrt(pi)"
-        payload["terms"] = polyexp_payload(approx.form)
-        payload["rendered"] = "(%s)/sqrt(pi)" % polyexp_str(approx.form)
-    elif args.family == "series":
-        payload["prefactor"] = "1/sqrt(pi)"
-        payload["terms"] = polyexp_payload(approx.base.form)
-        payload["tail"] = [frac_str(c) for c in approx.tail.coeffs]
-        payload["rendered"] = "(%s + %s)/sqrt(pi)" % (
-            polyexp_str(approx.base.form),
-            poly_str(approx.tail),
-        )
-    elif args.family == "sqrt":
-        payload["prefactor"] = "1/sqrt(pi)"
-        payload["radicand"] = polyexp_payload(approx.radicand())
-        payload["rendered"] = "sqrt(%s)/sqrt(pi)" % polyexp_str(approx.radicand())
-    elif args.family == "taylor":
-        payload["prefactor"] = "1/sqrt(pi)"
-        payload["coefficients"] = [frac_str(c) for c in approx.poly.coeffs]
-        payload["rendered"] = "(%s)/sqrt(pi)" % poly_str(approx.poly)
-    elif args.family in ("gauss_g", "gauss_h"):
-        payload["target"] = "exp(-x^2)"
-        payload["numerator"] = [frac_str(c) for c in approx.numerator.coeffs]
-        payload["denominator"] = [frac_str(c) for c in approx.denominator.coeffs]
-        payload["rendered"] = "(%s)/(%s)" % (
-            poly_str(approx.numerator),
-            poly_str(approx.denominator),
-        )
-    elif args.family == "grid":
-        table = approx.table
-        payload["resolution"] = frac_str(table.resolution)
-        payload["c"] = [decimal_string(c, ctx.working_digits) if c else "0" for c in table.c]
-        payload["rendered"] = "grid(delta=%s, order=%d, k_max=%d)" % (
-            table.resolution,
-            args.order,
-            table.k_max,
-        )
-    return payload
+    """Approximant from CLI flags; a family flag the family does not take is a ValueError."""
+    spec = FAMILIES[args.family]
+    for flag in (family.flag for family in FAMILIES.values()):
+        if flag not in (None, spec.flag) and getattr(args, flag) is not None:
+            raise ValueError("--family %s takes no --%s" % (args.family, flag.replace("_", "-")))
+    value = getattr(args, spec.flag) if spec.flag else None
+    value = spec.default if value is None else value
+    if spec.flag and value is None:
+        raise ValueError("--family %s needs --%s" % (args.family, spec.flag.replace("_", "-")))
+    return spec.build(args.order, value, args.interval or (Fraction(0), Fraction(8)), ctx)
 
 
 def parse_gen_payload(payload: dict):
-    """Rebuild an evaluatable form from cmd_gen output (round-trip support)."""
+    """Rebuild the exact approximant from cmd_gen output; grid payloads raise ValueError."""
     if payload.get("schema") != SCHEMA:
         raise ValueError("unsupported schema %r" % payload.get("schema"))
-    family = payload["family"]
-    if family in ("spline", "subinterval"):
-        form = parse_polyexp(payload["terms"])
-        if family == "spline":
-            return SplineApproximant(payload["order"], form)
-        return SubintervalApproximant(payload["order"], payload["subintervals"], form)
-    if family == "sqrt":
-        form = parse_polyexp(payload["radicand"])
-        q0 = form.poly_at(0).coeff(0)
-        terms = tuple((r, p) for r, p in form.terms if r != 0)
-        return SqrtForm(payload["order"], q0, terms)
-    if family == "taylor":
-        return TaylorApproximant(
-            payload["order"], RationalPolynomial([parse_frac(c) for c in payload["coefficients"]])
-        )
-    if family in ("gauss_g", "gauss_h"):
-        return RationalFunctionApproximant(
-            payload["order"],
-            RationalPolynomial([parse_frac(c) for c in payload["numerator"]]),
-            RationalPolynomial([parse_frac(c) for c in payload["denominator"]]),
-        )
-    raise ValueError("cannot rebuild family %r" % family)
+    if payload.get("family") not in FAMILIES:
+        raise ValueError("unknown family %r" % payload.get("family"))
+    return FAMILIES[payload["family"]].read(payload)
 
 
 def _open_out(path):
@@ -189,9 +213,11 @@ def _open_out(path):
 
 def cmd_gen(args) -> int:
     ctx = PrecisionContext(args.digits)
-    payload = _gen_payload(args, ctx)
+    approx = build_approximant(args, ctx)
+    descriptor = {"family": args.family, "order": args.order, "digits": ctx.working_digits}
+    payload = {"schema": SCHEMA, **descriptor, **FAMILIES[args.family].fields(approx, ctx)}
     out, close = _open_out(args.out)
-    json.dump(payload, out, indent=2)
+    json.dump(payload, out, indent=2, default=frac_str)  # Fractions travel as "num/den"
     out.write("\n")
     if close:
         out.close()
@@ -200,7 +226,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     ctx = PrecisionContext(args.digits)
-    approx, _ = build_approximant(args, ctx)
+    approx = build_approximant(args, ctx)
     interval = args.interval or (Fraction(0), Fraction(5))
     if args.transition == "auto":
         approx, _ = improved(approx, interval, args.points, ctx)
@@ -235,10 +261,7 @@ def cmd_table(args) -> int:
     ctx = None
     if args.digits is not None:
         ctx = PrecisionContext(args.digits)
-    try:
-        rows = parse_rows(args.table, args.rows) if args.rows else None
-    except ValueError as exc:
-        raise SystemExit("erfkit table: %s" % exc) from exc
+    rows = parse_rows(args.table, args.rows) if args.rows else None
     results = reproduce_table(args.table, rows, ctx)
     out, close = _open_out(args.out)
     writer = csv.writer(out)
@@ -379,7 +402,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # how erfkit rejects a flag value; report it as a usage error
+        raise SystemExit("erfkit %s: %s" % (args.command, exc)) from exc
 
 
 if __name__ == "__main__":

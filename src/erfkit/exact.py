@@ -13,8 +13,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-Rational = Fraction
-
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact value of an mpmath float as a Fraction (mpf values are dyadic)."""

@@ -100,8 +100,3 @@ def build_erf_series(n: int, tail_terms: int) -> ErfSeriesApproximant:
         power = 2 * n + 3 + 2 * k
         coeffs[power] = s / (power * diag.x_n0)
     return ErfSeriesApproximant(n, build_spline(n), tail_terms, RationalPolynomial(coeffs))
-
-
-def series_tail_coefficient(n: int, k: int) -> Fraction:
-    """Exact coefficient of x^(2n+3+2k)/sqrt(pi) in the residual series."""
-    return build_erf_series(n, k + 1).tail.coeff(2 * n + 3 + 2 * k)

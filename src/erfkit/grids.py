@@ -46,7 +46,6 @@ class GridTable:
     resolution: Fraction
     c: tuple  # c[k], c[0] = 0
     partial: tuple  # partial[k] = sum_{j<=k} c[j] = erf(k*delta)
-    digits: int
     saturated: bool  # increments below table precision past the last entry
 
     @property
@@ -74,7 +73,7 @@ def build_grid_table(delta, k_max: int, ctx: PrecisionContext = CTX34) -> GridTa
             cs.append(ck)
             partial.append(cur)
             prev = cur
-    return GridTable(delta, tuple(cs), tuple(partial), ctx.working_digits, saturated)
+    return GridTable(delta, tuple(cs), tuple(partial), saturated)
 
 
 def _spline_weights(n: int) -> list:
@@ -136,6 +135,15 @@ class GridApproximant(OddApproximant):
         return _corrected(base, self._coeffs, xm, offset, *self._cell_data(index))
 
 
+def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> GridApproximant:
+    """Order-n grid approximant covering [0, b] for interval (a, b): k_max = floor(b/delta) + 2."""
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("resolution must be positive")
+    k_max = int(Fraction(interval[1]) / delta) + 2
+    return GridApproximant(n, build_grid_table(delta, k_max, ctx))
+
+
 @dataclass(frozen=True)
 class NonUniformGrid:
     """Monotone knots x_1 < ... < x_m with increments c_k = erf(x_k) - erf(x_{k-1})."""
@@ -143,7 +151,6 @@ class NonUniformGrid:
     knots: tuple  # mpf knots, not including 0
     c: tuple  # c[k] pairs with knots[k-1]; c[0] = 0
     partial: tuple
-    digits: int
 
 
 def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGrid:
@@ -159,7 +166,7 @@ def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGri
             cs.append(cur - prev)
             partial.append(cur)
             prev = cur
-    return NonUniformGrid(tuple(ks), tuple(cs), tuple(partial), ctx.working_digits)
+    return NonUniformGrid(tuple(ks), tuple(cs), tuple(partial))
 
 
 def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX34):

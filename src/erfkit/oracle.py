@@ -15,34 +15,33 @@ import mpmath as mp
 
 from .exact import as_mpf
 
+GUARD_DIGITS = 10  # extra decimal digits every intermediate sum carries
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Decimal working precision plus guard digits for intermediate sums."""
+    """Decimal working precision; intermediate sums add GUARD_DIGITS."""
 
     working_digits: int = 34
-    guard_digits: int = 10
 
     def __post_init__(self):
         if self.working_digits < 16:
             raise ValueError("working_digits must be >= 16")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be >= 10")
 
     @property
     def total_digits(self) -> int:
-        return self.working_digits + self.guard_digits
+        return self.working_digits + GUARD_DIGITS
 
     def workdps(self):
         """mpmath context manager running at working+guard digits."""
         return mp.workdps(self.total_digits)
 
     def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(2 * self.working_digits, self.guard_digits)
+        return PrecisionContext(2 * self.working_digits)
 
 
-CTX34 = PrecisionContext(34, 10)
-CTX70 = PrecisionContext(70, 10)
+CTX34 = PrecisionContext(34)
+CTX70 = PrecisionContext(70)
 
 
 def sqrt_pi():
@@ -119,11 +118,3 @@ def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):
             if term < eps * total:
                 break
         return total
-
-
-def relative_error(approx_value, ref_value):
-    """Signed relative error 1 - approx/ref; the reference must be nonzero."""
-    ref = as_mpf(ref_value)
-    if ref == 0:
-        raise ValueError("relative_error undefined for ref_value = 0")
-    return 1 - as_mpf(approx_value) / ref

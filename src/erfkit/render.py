@@ -3,8 +3,8 @@
 Decimal output is produced from exact rationals with round-half-even at the
 requested significant-digit count, so CSV/JSON artifacts are reproducible
 bit-for-bit. The JSON schema for generated approximants is
-"erfkit-approximant/1"; payloads round-trip losslessly (rationals travel as
-"num/den" strings).
+"erfkit-approximant/1"; rationals travel as "num/den" strings, so every
+payload but a grid table's decimal increments round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -131,10 +131,7 @@ def polyexp_payload(form: PolyExpSum) -> list:
 
 
 def parse_polyexp(payload: list) -> PolyExpSum:
-    return PolyExpSum(
-        (parse_frac(t["rate"]), [parse_frac(c) for c in t["coefficients"]])
-        for t in payload
-    )
+    return PolyExpSum((t["rate"], t["coefficients"]) for t in payload)
 
 
 def mp_str(x, digits: int) -> str:

@@ -172,26 +172,3 @@ def build_interval_spline(n: int, alpha) -> IntervalSpline:
         poly_x = poly_x + (sign * c2) * (shift_pow * table[k])
         shift_pow = shift_pow * shift
     return IntervalSpline(n, alpha, poly_alpha, poly_x)
-
-
-class ConstantOneTail(OddApproximant):
-    """Large-argument approximation erf(x) ~ 1 (signed for negative x)."""
-
-    def positive(self, xm, ctx: PrecisionContext):
-        return mp.mpf(1)
-
-
-class GaussTail:
-    """Large-argument approximation erf(x) ~ 1 - e^(-x^2)/(sqrt(pi) x), x > 0."""
-
-    def value(self, x, ctx: PrecisionContext = CTX34):
-        with ctx.workdps():
-            xm = as_mpf(x)
-            if xm <= 0:
-                raise ValueError("second tail form requires x > 0")
-            return 1 - mp.exp(-xm * xm) / (sqrt_pi() * xm)
-
-
-def tail_approximants():
-    """The two x >> 1 closed forms used in sweeps and crossover studies."""
-    return ConstantOneTail(), GaussTail()

@@ -16,7 +16,7 @@ from functools import partial
 import mpmath as mp
 
 from .gauss import build_gauss_g, build_gauss_h
-from .grids import GridApproximant, build_grid_table
+from .grids import build_grid_table, covering_grid
 from .oracle import CTX34, CTX70, PrecisionContext
 from .render import decimal_string
 from .spline import build_spline
@@ -50,20 +50,6 @@ def _reb_ok(computed, printed, tol=REB_RELATIVE_TOL) -> bool:
 
 def _xo_ok(computed, printed, step) -> bool:
     return abs(computed - mp.mpf(printed)) <= step * (1 + mp.mpf("1e-9"))
-
-
-def _transition_row(table, label, inner, interval, n_points, ctx, xo_p, reb_p):
-    with ctx.workdps():
-        step = (mp.mpf(interval[1]) - mp.mpf(interval[0])) / n_points
-    res = optimize_transition(inner, interval, n_points, ctx)
-    ok = _xo_ok(res.x_o, xo_p, step) and _reb_ok(res.re_b, reb_p)
-    return RowResult(
-        table,
-        label,
-        {"x_o": mp.nstr(res.x_o, 8), "re_b": mp.nstr(res.re_b, 4)},
-        {"x_o": xo_p, "re_b": reb_p},
-        ok,
-    )
 
 
 def _bound_row(table, label, bound, printed, tol=REB_RELATIVE_TOL, detail=""):
@@ -162,68 +148,63 @@ TABLE8 = [
     (20, "1.73e-17"),
     (22, "5.56e-19"),
     (24, "1.79e-20"),
+    ("extension", "2.83e-6"),  # sqrt(f_{1,4}), the sqrt transform of the first generalization
 ]
 
-TABLE9_G = [
-    (0, "8.00"),
-    (1, "3.74"),
-    (2, "0.957"),
-    (3, "1.25e-1"),
-    (4, "8.04e-3"),
-    (5, "7.71e-3"),
-    (6, "2.09e-3"),
-    (7, "3.72e-4"),
-    (8, "5.02e-5"),
-    (10, "4.54e-7"),
-    (12, "1.09e-9"),
-]
-
-TABLE9_H = [
-    (0, "35.6"),
-    (1, "6.98"),
-    (2, "0.767"),
-    (3, "5.25e-2"),
-    (4, "2.42e-3"),
-    (5, "7.98e-5"),
-    (6, "1.97e-6"),
-    (7, "3.75e-8"),
-    (8, "5.69e-10"),
-    (10, "7.22e-14"),
-    (12, "4.62e-18"),
+TABLE9 = [
+    (("g", 0), "8.00"),
+    (("g", 1), "3.74"),
+    (("g", 2), "0.957"),
+    (("g", 3), "1.25e-1"),
+    (("g", 4), "8.04e-3"),
+    (("g", 5), "7.71e-3"),
+    (("g", 6), "2.09e-3"),
+    (("g", 7), "3.72e-4"),
+    (("g", 8), "5.02e-5"),
+    (("g", 10), "4.54e-7"),
+    (("g", 12), "1.09e-9"),
+    (("h", 0), "35.6"),
+    (("h", 1), "6.98"),
+    (("h", 2), "0.767"),
+    (("h", 3), "5.25e-2"),
+    (("h", 4), "2.42e-3"),
+    (("h", 5), "7.98e-5"),
+    (("h", 6), "1.97e-6"),
+    (("h", 7), "3.75e-8"),
+    (("h", 8), "5.69e-10"),
+    (("h", 10), "7.22e-14"),
+    (("h", 12), "4.62e-18"),
 ]
 
 
-# Tables 3-6: (fixtures, builder of the order-n approximant, sweep interval,
-# default precision); every row is an improved approximant on 10000 points.
-TRANSITION_TABLES = {
-    "3": (TABLE3, build_spline, (0, 5), CTX34),
-    "4": (TABLE4, taylor, (0, 4), CTX34),
-    "5": (TABLE5, lambda n: build_subinterval(n, 4), (0, 8), CTX34),
-    "6": (TABLE6, lambda n: build_subinterval(n, 16), (0, 12), CTX70),
-}
-
-
-def transition_table(table_id: str, rows=None, ctx: PrecisionContext | None = None):
-    """Rows of Table 3, 4, 5 or 6 (see TRANSITION_TABLES)."""
-    fixtures, build, interval, default_ctx = TRANSITION_TABLES[table_id]
-    ctx = default_ctx if ctx is None else ctx
-    return [
-        _transition_row(table_id, "n=%d" % n, build(n), interval, 10000, ctx, xo_p, reb_p)
-        for n, xo_p, reb_p in fixtures
-        if rows is None or n in rows
-    ]
-
-
-def table7(rows=None, ctx: PrecisionContext = CTX34):
-    table = build_grid_table(Fraction(1, 2), 12, ctx)
+def _transition_rows(build, interval, table, rows, ctx):
+    """Tables 3-6: the improved order-n approximant of each row on 10000 points."""
+    with ctx.workdps():
+        step = (mp.mpf(interval[1]) - mp.mpf(interval[0])) / 10000
     out = []
-    for k, printed in TABLE7:
-        if rows is not None and k not in rows:
-            continue
-        computed = decimal_string(table.c[k], 10)
+    for n, xo_p, reb_p in rows:
+        res = optimize_transition(build(n), interval, 10000, ctx)
+        ok = _xo_ok(res.x_o, xo_p, step) and _reb_ok(res.re_b, reb_p)
         out.append(
             RowResult(
-                "7",
+                table,
+                "n=%d" % n,
+                {"x_o": mp.nstr(res.x_o, 8), "re_b": mp.nstr(res.re_b, 4)},
+                {"x_o": xo_p, "re_b": reb_p},
+                ok,
+            )
+        )
+    return out
+
+
+def table7(table, rows, ctx):
+    grid = build_grid_table(Fraction(1, 2), 12, ctx)
+    out = []
+    for k, printed in rows:
+        computed = decimal_string(grid.c[k], 10)
+        out.append(
+            RowResult(
+                table,
                 "k=%d" % k,
                 {"c_k": computed},
                 {"c_k": printed},
@@ -246,14 +227,14 @@ def sqrt_family_bound(form, ctx: PrecisionContext = CTX34, n_points: int = 3000)
         return max(rep.re_b, limit_re)
 
 
-def table8(rows=None, ctx: PrecisionContext = CTX34):
+def table8(table, rows, ctx):
     out = []
-    for n, reb_p in TABLE8:
-        if rows is None or n in rows:
-            out.append(_bound_row("8", "n=%d" % n, sqrt_family_bound(build_sqrt(n), ctx), reb_p))
-    if rows is None or "extension" in rows:
-        form = sqrt_transform(build_subinterval(1, 4).form, 1)
-        out.append(_bound_row("8", "sqrt(f_{1,4})", sqrt_family_bound(form, ctx), "2.83e-6"))
+    for key, reb_p in rows:
+        if key == "extension":
+            label, form = "sqrt(f_{1,4})", sqrt_transform(build_subinterval(1, 4).form, 1)
+        else:
+            label, form = "n=%d" % key, build_sqrt(key)
+        out.append(_bound_row(table, label, sqrt_family_bound(form, ctx), reb_p))
     return out
 
 
@@ -265,15 +246,14 @@ def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
         )
 
 
-def table9(rows=None, ctx: PrecisionContext = CTX34):
+def table9(table, rows, ctx):
     with ctx.workdps():
         interval = (mp.mpf(0), 3 / mp.sqrt(2))  # three-sigma range
+    builders = {"g": build_gauss_g, "h": build_gauss_h}
     out = []
-    for builder, fixtures, tag in ((build_gauss_g, TABLE9_G, "g"), (build_gauss_h, TABLE9_H, "h")):
-        for n, reb_p in fixtures:
-            if rows is None or (tag, n) in rows:
-                bound = gauss_sweep(builder(n), interval, 10000, ctx)
-                out.append(_bound_row("9", "%s n=%d" % (tag, n), bound, reb_p))
+    for (tag, n), reb_p in rows:
+        bound = gauss_sweep(builders[tag](n), interval, 10000, ctx)
+        out.append(_bound_row(table, "%s n=%d" % (tag, n), bound, reb_p))
     return out
 
 
@@ -298,11 +278,9 @@ TABLE10 = [
 ]
 
 
-def table10(rows=None, ctx: PrecisionContext = CTX34):
+def table10(table, rows, ctx):
     out = []
-    for label, xo_p, reb_p, tol, note in TABLE10:
-        if rows is not None and label not in rows:
-            continue
+    for label, xo_p, reb_p, tol, note in rows:
         kind, _, spec = label.partition(" ")
         params = dict(p.split("=") for p in spec.split())
         n = int(params["n"])
@@ -311,32 +289,27 @@ def table10(rows=None, ctx: PrecisionContext = CTX34):
         elif kind == "grid":
             delta = Fraction(params["d"])
             interval = (0, 5) if delta == Fraction(19, 20) else (0, 8)
-            k_max = int(interval[1] / delta) + 2
-            approx = GridApproximant(n, build_grid_table(delta, k_max, ctx))
+            approx = covering_grid(n, delta, interval, ctx)
             bound = sweep(approx, interval, 10000, ctx).re_b
         else:
             inner = build_spline(n) if kind == "spline" else build_subinterval(n, int(params["m"]))
             bound = sweep(PiecewiseApproximant(inner, mp.mpf(xo_p)), (0, 8), 10000, ctx).re_b
         tol_v = REB_RELATIVE_TOL if tol is None else mp.mpf(tol)
-        out.append(_bound_row("10", label, bound, reb_p, tol_v, note))
+        out.append(_bound_row(table, label, bound, reb_p, tol_v, note))
     return out
 
 
-TABLE_BUILDERS = {
-    **{key: partial(transition_table, key) for key in TRANSITION_TABLES},
-    "7": table7,
-    "8": table8,
-    "9": table9,
-    "10": table10,
-}
-
-# Row keys each table accepts in ``rows``.
-ROW_KEYS = {
-    **{key: [row[0] for row in spec[0]] for key, spec in TRANSITION_TABLES.items()},
-    "7": [k for k, _ in TABLE7],
-    "8": [n for n, _ in TABLE8] + ["extension"],
-    "9": [("g", n) for n, _ in TABLE9_G] + [("h", n) for n, _ in TABLE9_H],
-    "10": [row[0] for row in TABLE10],
+# Table id -> (printed rows, function of (table id, selected rows, context) to
+# RowResults, default context). The first field of every printed row is its key.
+TABLES = {
+    "3": (TABLE3, partial(_transition_rows, build_spline, (0, 5)), CTX34),
+    "4": (TABLE4, partial(_transition_rows, taylor, (0, 4)), CTX34),
+    "5": (TABLE5, partial(_transition_rows, partial(build_subinterval, m=4), (0, 8)), CTX34),
+    "6": (TABLE6, partial(_transition_rows, partial(build_subinterval, m=16), (0, 12)), CTX70),
+    "7": (TABLE7, table7, CTX34),
+    "8": (TABLE8, table8, CTX34),
+    "9": (TABLE9, table9, CTX34),
+    "10": (TABLE10, table10, CTX34),
 }
 
 
@@ -344,32 +317,34 @@ def _row_text(key) -> str:
     return "%s:%s" % key if isinstance(key, tuple) else str(key)
 
 
-def _check_rows(key: str, rows) -> None:
-    unknown = sorted(map(_row_text, set(rows) - set(ROW_KEYS[key])))
+def _select_rows(key: str, rows) -> list:
+    """The printed rows of table ``key`` whose keys are in ``rows`` (all for None)."""
+    printed = TABLES[key][0]
+    if rows is None:
+        return printed
+    unknown = sorted(map(_row_text, set(rows) - {row[0] for row in printed}))
     if unknown:
         raise ValueError("table %s has no row %s" % (key, ", ".join(unknown)))
+    return [row for row in printed if row[0] in rows]
 
 
 def parse_rows(table_id, text: str) -> set:
     """Row keys from a comma list: orders '4,24', 'extension', 'g:7' or Table 10 labels."""
     key = str(table_id)
-    by_text = {_row_text(row): row for row in ROW_KEYS[key]}
+    by_text = {_row_text(row[0]): row[0] for row in TABLES[key][0]}
     rows = {by_text.get(item, item) for item in text.split(",")}
-    _check_rows(key, rows)
+    _select_rows(key, rows)
     return rows
 
 
 def reproduce_table(table_id, rows=None, ctx: PrecisionContext | None = None):
     """Recompute a published table; returns a list of RowResult.
 
-    ``rows`` selects rows by key (see ROW_KEYS); an unknown key raises ValueError.
+    ``rows`` selects rows by key, the first field of each printed row in
+    ``TABLES``; an unknown key raises ValueError. Only selected rows are built.
     """
     key = str(table_id)
-    if key not in TABLE_BUILDERS:
+    if key not in TABLES:
         raise ValueError("unknown table %r (have 3,4,5,6,7,8,9,10)" % table_id)
-    if rows is not None:
-        _check_rows(key, rows)
-    builder = TABLE_BUILDERS[key]
-    if ctx is None:
-        return builder(rows)
-    return builder(rows, ctx)
+    _, build_rows, default_ctx = TABLES[key]
+    return build_rows(key, _select_rows(key, rows), default_ctx if ctx is None else ctx)

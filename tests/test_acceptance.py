@@ -341,7 +341,7 @@ def test_c13_envelopes():
 def test_c14_property_suite():
     # residual envelope constant k_o = 1.2 (needs digits against the
     # small-x cancellation of the poly-exp difference)
-    ctx = PrecisionContext(80, 10)
+    ctx = PrecisionContext(80)
     with ctx.workdps():
         for n in (0, 2, 4, 6, 8):
             form = residual_derivative(n)

@@ -4,7 +4,6 @@ import mpmath as mp
 import pytest
 
 from erfkit.apps import (
-    DistortionModel,
     FilterModel,
     arbitrate_harmonics,
     filter_convolution_oracle,
@@ -77,7 +76,7 @@ def test_harmonics_closed_forms_match_quadrature():
 
 def test_harmonic_small_signal_limit():
     # c_{4,1}/sqrt(T) -> sqrt(2) a / sqrt(pi) as a -> 0
-    ctx = PrecisionContext(50, 10)
+    ctx = PrecisionContext(50)
     with ctx.workdps():
         a = mp.mpf("1e-3")
         lim = mp.sqrt(2) * a / mp.sqrt(mp.pi)
@@ -89,7 +88,7 @@ def test_harmonic_small_signal_limit():
 
 def test_fifth_harmonic_small_a_cancellation():
     # the printed 1/a leading terms cancel: c_{4,5} scales like a^5
-    ctx = PrecisionContext(50, 10)
+    ctx = PrecisionContext(50)
     with ctx.workdps():
         v1 = harmonic_levels(mp.mpf("1e-2"), 5, ctx)
         v2 = harmonic_levels(mp.mpf("2e-2"), 5, ctx)
@@ -110,13 +109,6 @@ def test_parseval_gap():
             total = y4_power_quadrature(am, CTX34)
             gap = total - harm_power
             assert -mp.mpf("1e-30") < gap < mp.mpf("1e-4"), a
-
-
-def test_distortion_model_wrapper():
-    m = DistortionModel(1)
-    with CTX34.workdps():
-        assert m.power(CTX34) == output_power(1, CTX34)
-        assert m.harmonic(3, CTX34) == harmonic_levels(1, 3, CTX34)
 
 
 def test_filter_initial_rest_and_dc_gain():

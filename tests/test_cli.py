@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import io
 from contextlib import redirect_stdout
@@ -6,6 +7,15 @@ from contextlib import redirect_stdout
 import mpmath as mp
 import pytest
 
+from erfkit import (
+    build_erf_series,
+    build_gauss_g,
+    build_gauss_h,
+    build_spline,
+    build_sqrt,
+    build_subinterval,
+    taylor,
+)
 from erfkit.cli import main, parse_gen_payload
 from erfkit.oracle import CTX34
 from erfkit.tables import parse_rows, reproduce_table
@@ -41,32 +51,101 @@ def test_gen_usage_error_for_even_taylor():
         run_cli("gen", "--family", "taylor", "--order", "2")
 
 
+# Exact parts of each rebuilt family, compared with == against the builder's.
+EXACT_PARTS = {
+    "spline": lambda a: a.form,
+    "subinterval": lambda a: (a.subintervals, a.form),
+    "sqrt": lambda a: (a.q0, a.radicand()),
+    "taylor": lambda a: a.poly,
+    "gauss_g": lambda a: (a.numerator, a.denominator),
+    "gauss_h": lambda a: (a.numerator, a.denominator),
+    "series": lambda a: (a.base.form, a.tail_terms, a.tail, a.form),
+}
+
+
 def test_gen_roundtrip_bit_for_bit():
-    for family, extra in (
-        ("spline", []),
-        ("subinterval", ["--subintervals", "4"]),
-        ("sqrt", []),
-        ("gauss_h", []),
+    for family, extra, built in (
+        ("spline", [], build_spline(3)),
+        ("subinterval", ["--subintervals", "4"], build_subinterval(3, 4)),
+        ("sqrt", [], build_sqrt(3)),
+        ("gauss_h", [], build_gauss_h(3)),
+        ("taylor", [], taylor(3)),
+        ("gauss_g", [], build_gauss_g(3)),
+        ("series", ["--tail-terms", "3"], build_erf_series(3, 3)),
+        ("series", [], build_erf_series(3, 2)),
     ):
         code, out = run_cli("gen", "--family", family, "--order", "3", *extra)
         assert code == 0
         rebuilt = parse_gen_payload(json.loads(out))
-        from erfkit.cli import build_approximant
-        from types import SimpleNamespace
-
-        args = SimpleNamespace(
-            family=family,
-            order=3,
-            subintervals=4 if family == "subinterval" else None,
-            resolution=None,
-            tail_terms=None,
-            interval=None,
-        )
-        orig, _ = build_approximant(args, CTX34)
+        assert EXACT_PARTS[family](rebuilt) == EXACT_PARTS[family](built), family
         with CTX34.workdps():
             for xs in ("0.21", "1.7"):
                 x = mp.mpf(xs)
-                assert orig.value(x, CTX34) == rebuilt.value(x, CTX34)
+                assert built.value(x, CTX34) == rebuilt.value(x, CTX34)
+
+
+def test_gen_grid_payload_does_not_roundtrip():
+    code, out = run_cli("gen", "--family", "grid", "--order", "2", "--resolution", "1/2")
+    assert code == 0
+    with pytest.raises(ValueError, match="decimal strings"):
+        parse_gen_payload(json.loads(out))
+
+
+# sha256 of ``erfkit gen`` stdout for the families perfbench/golden.json does
+# not pin, so any change to their JSON bytes shows here.
+GEN_PINS = {
+    ("spline", "4"): "c79d453f5d41947fec6d4951234a22a1645255ef29393b515bd9f84c7f048e37",
+    ("taylor", "9"): "dec837da6fafda38dfa2c2ef498cfe7153b9b472dcfdc2a83e8ce9cdced4c009",
+}
+
+
+@pytest.mark.parametrize("family, order", sorted(GEN_PINS))
+def test_gen_payload_bytes_pinned(family, order):
+    code, out = run_cli("gen", "--family", family, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_PINS[family, order]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "series", "--tail-terms", "0"], "tail_terms must be >= 1"),
+        (["--family", "series", "--tail-terms", "-1"], "tail_terms must be >= 1"),
+        (["--family", "spline", "--subintervals", "4"], "--family spline takes no --subintervals"),
+        (["--family", "sqrt", "--resolution", "1/2"], "--family sqrt takes no --resolution"),
+        (["--family", "taylor", "--tail-terms", "2"], "--family taylor takes no --tail-terms"),
+        (["--family", "subinterval"], "--family subinterval needs --subintervals"),
+        (["--family", "grid", "--resolution", "0"], "resolution must be positive"),
+        (["--family", "spline", "--digits", "10"], "working_digits must be >= 16"),
+    ],
+    ids=[
+        "tail-terms-0",
+        "tail-terms-negative",
+        "spline-subintervals",
+        "sqrt-resolution",
+        "taylor-tail-terms",
+        "subinterval-missing-flag",
+        "grid-zero-resolution",
+        "digits-10",
+    ],
+)
+def test_gen_misuse_is_a_usage_error(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--order", "3", *argv)
+    assert str(exc.value.code).startswith("erfkit gen: ")
+    assert message in str(exc.value.code)
+
+
+def test_spline_order_out_of_range_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--family", "spline", "--order", "65")
+    assert exc.value.code == "erfkit gen: spline order must be in 0..64, got 65"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "sweep", "--family", "spline", "--order", "65", "--points", "20",
+            "--out", str(tmp_path / "s.csv"),
+        )
+    assert exc.value.code == "erfkit sweep: spline order must be in 0..64, got 65"
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -153,6 +232,18 @@ def test_unknown_row_is_an_error(table, rows):
     with pytest.raises(SystemExit) as exc:
         run_cli("table", table, "--rows", rows)
     assert exc.value.code not in (0, None)
+
+
+def test_reproduce_table_builds_selected_rows_only(monkeypatch):
+    import erfkit.tables as tables
+
+    built = []
+    monkeypatch.setattr(tables, "build_gauss_g", lambda n: built.append(("g", n)))
+    monkeypatch.setattr(tables, "build_gauss_h", lambda n: built.append(("h", n)))
+    monkeypatch.setattr(tables, "gauss_sweep", lambda *args: mp.mpf("3.75e-8"))
+    (row,) = reproduce_table("9", {("h", 7)})
+    assert built == [("h", 7)]
+    assert (row.table, row.label, row.ok) == ("9", "h n=7", True)
 
 
 def test_reproduce_table_rejects_unknown_row_keys():

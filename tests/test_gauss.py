@@ -9,7 +9,6 @@ from erfkit.gauss import (
     build_gauss_g,
     build_gauss_h,
     gauss_g_parts,
-    series_tail_coefficient,
 )
 from erfkit.oracle import CTX34, erf_ref
 from erfkit.spline import build_spline
@@ -103,7 +102,7 @@ def test_series_tail_fixtures():
     s1 = build_erf_series(1, 2)
     assert s1.tail.coeff(5) == F(1, 30)
     assert s1.tail.coeff(7) == F(-1, 21)
-    assert series_tail_coefficient(2, 0) == F(1, 420)
+    assert build_erf_series(2, 1).tail.coeff(7) == F(1, 420)
 
 
 def test_series_general_term_formula():

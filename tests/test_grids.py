@@ -7,6 +7,7 @@ from erfkit.grids import (
     GridApproximant,
     build_grid_table,
     build_nonuniform_grid,
+    covering_grid,
     eval_nonuniform,
     floor_cells,
 )
@@ -22,6 +23,20 @@ def test_table_values_at_half():
         assert mp.almosteq(t.c[12], mp.mpf("7.336328181e-15"), rel_eps=mp.mpf("1e-9"))
     assert t.c[0] == 0
     assert t.k_max == 12
+
+
+@pytest.mark.parametrize(
+    "delta, b, k_max", [(F(19, 20), 5, 7), (F(3, 8), 8, 23), (F(1, 4), 8, 34), (F(3, 4), 8, 12)]
+)
+def test_covering_grid_tabulates_two_cells_past_b(delta, b, k_max):
+    grid = covering_grid(2, delta, (0, b), CTX34)
+    assert (grid.order, grid.table.resolution, grid.table.k_max) == (2, delta, k_max)
+
+
+def test_covering_grid_rejects_nonpositive_resolution():
+    for delta in (0, F(-1, 2)):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            covering_grid(2, delta, (0, 8))
 
 
 def test_table_columns_positive_decreasing():

@@ -6,13 +6,11 @@ import pytest
 from erfkit.exact import PolyExpSum, RationalPolynomial
 from erfkit.oracle import CTX34, PrecisionContext, erf_ref
 from erfkit.spline import (
-    GaussTail,
     build_interval_spline,
     build_spline,
     residual_derivative,
     residual_diagnostics,
     residual_scale,
-    tail_approximants,
 )
 
 # sqrt(pi)-scaled fixtures from the printed order-0..5 approximants
@@ -134,7 +132,7 @@ def test_monotone_convergence_at_fixed_x():
 def test_residual_envelope_bound():
     # |eps'_n(x)| <= (k_o/sqrt(pi)) x^(2n+2)/x_{n,0} with k_o = 1.2 on (0, 6];
     # high precision needed near 0 where the poly-exp evaluation cancels
-    ctx = PrecisionContext(80, 10)
+    ctx = PrecisionContext(80)
     with ctx.workdps():
         for n in (0, 2, 4, 6, 8):
             form = residual_derivative(n)
@@ -145,18 +143,6 @@ def test_residual_envelope_bound():
                 g = abs(form.eval_raw(x)) * x_n0 / x ** (2 * n + 2)
                 worst = max(worst, g)
             assert worst <= mp.mpf("1.2")
-
-
-def test_tail_approximants():
-    one, gauss = tail_approximants()
-    assert one.value(3, CTX34) == 1
-    with CTX34.workdps():
-        v = gauss.value(2, CTX34)
-        assert mp.almosteq(v, mp.mpf("0.994833"), abs_eps=mp.mpf("1e-6"))
-        re = abs(1 - v / erf_ref(2, CTX34))
-        assert mp.mpf("4e-4") < re < mp.mpf("6e-4")
-    with pytest.raises(ValueError):
-        GaussTail().value(0, CTX34)
 
 
 def test_constant_tail_error_far_out():
