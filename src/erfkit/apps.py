@@ -51,20 +51,28 @@ def output_power(a, ctx: PrecisionContext = CTX34):
 
 
 def _periodic_trapezoid(f, period, ctx: PrecisionContext, start_nodes: int):
-    """Composite trapezoid over one period, doubling nodes until stable."""
+    """Composite trapezoid over one period, doubling nodes until stable.
+
+    A doubling evaluates f only at the new odd nodes: h/2 is exact in binary,
+    so node 2i of the finer rule is node i of the coarser one, bit for bit.
+    """
     with ctx.workdps():
         tol = mp.mpf(10) ** (-(ctx.working_digits + 2))
         n = start_nodes
+        h = mp.mpf(period) / n
+        values = [f(i * h) for i in range(n)]
         prev = None
         while True:
-            h = mp.mpf(period) / n
-            total = mp.fsum(f(i * h) for i in range(n)) * h
+            total = mp.fsum(values) * h
             if prev is not None and abs(total - prev) <= tol * max(1, abs(total)):
                 return total
             prev = total
             n *= 2
             if n > 2**20:
                 raise ArithmeticError("periodic quadrature failed to settle")
+            h = mp.mpf(period) / n
+            odd = [f(i * h) for i in range(1, n, 2)]
+            values = [v for pair in zip(values, odd) for v in pair]
 
 
 def output_power_quadrature(a, ctx: PrecisionContext = CTX34):

@@ -183,8 +183,8 @@ FAMILIES = {
 }
 
 
-def build_approximant(args, ctx: PrecisionContext):
-    """Approximant from CLI flags; a family flag the family does not take is a ValueError."""
+def build_approximant(args, ctx: PrecisionContext, interval):
+    """Approximant from CLI flags on ``interval``; a flag its family does not take is a ValueError."""
     spec = FAMILIES[args.family]
     for flag in (family.flag for family in FAMILIES.values()):
         if flag not in (None, spec.flag) and getattr(args, flag) is not None:
@@ -193,7 +193,7 @@ def build_approximant(args, ctx: PrecisionContext):
     value = spec.default if value is None else value
     if spec.flag and value is None:
         raise ValueError("--family %s needs --%s" % (args.family, spec.flag.replace("_", "-")))
-    return spec.build(args.order, value, args.interval or (Fraction(0), Fraction(8)), ctx)
+    return spec.build(args.order, value, interval, ctx)
 
 
 def parse_gen_payload(payload: dict):
@@ -213,7 +213,7 @@ def _open_out(path):
 
 def cmd_gen(args) -> int:
     ctx = PrecisionContext(args.digits)
-    approx = build_approximant(args, ctx)
+    approx = build_approximant(args, ctx, args.interval or (Fraction(0), Fraction(8)))
     descriptor = {"family": args.family, "order": args.order, "digits": ctx.working_digits}
     payload = {"schema": SCHEMA, **descriptor, **FAMILIES[args.family].fields(approx, ctx)}
     out, close = _open_out(args.out)
@@ -226,8 +226,8 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     ctx = PrecisionContext(args.digits)
-    approx = build_approximant(args, ctx)
     interval = args.interval or (Fraction(0), Fraction(5))
+    approx = build_approximant(args, ctx, interval)
     if args.transition == "auto":
         approx, _ = improved(approx, interval, args.points, ctx)
     elif args.transition not in (None, "none"):

@@ -10,8 +10,10 @@ Taylor series would lose about x^2 * log10(e) digits to cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .exact import as_mpf
 
@@ -44,9 +46,22 @@ CTX34 = PrecisionContext(34)
 CTX70 = PrecisionContext(70)
 
 
+@lru_cache(maxsize=64)
+def _sqrt_pi(prec: int):
+    with mp.workprec(prec):
+        return mp.sqrt(mp.pi)
+
+
 def sqrt_pi():
-    """sqrt(pi) at the current working precision (never hard-coded)."""
-    return mp.sqrt(mp.pi)
+    """sqrt(pi) at the current working precision (never hard-coded), once per precision."""
+    return _sqrt_pi(mp.mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _series_eps(total_digits: int):
+    """10^-total_digits, rounded at that many digits: the series truncation threshold."""
+    with mp.workdps(total_digits):
+        return mp.mpf(10) ** (-total_digits)
 
 
 class OddApproximant:
@@ -71,6 +86,12 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
     handled by odd symmetry. The series is truncated once the term-to-sum
     ratio drops below 10^-(working+guard) digits and the term ratio
     2x^2/(2n+3) has fallen below 1/2 (geometric tail).
+
+    The sum runs on Python ints: t = 2x^2, ratio, term, total and eps*total
+    are (mantissa, exponent) pairs, each operation is rounded once to
+    mp.prec bits, half to even, by ``from_man_exp``, and both comparisons
+    are exact. mpf arithmetic rounds the same operations the same way, so
+    the result is bit for bit that of the same loop written on mpf values.
     """
     with ctx.workdps():
         xm = as_mpf(x)
@@ -78,19 +99,41 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
             return -erf_ref(-xm, ctx)
         if xm == 0:
             return mp.mpf(0)
-        eps = mp.mpf(10) ** (-ctx.total_digits)
-        t = 2 * xm * xm
-        term = xm
-        total = term
-        n = 0
+        prec = mp.mp.prec
+        _, em, ee, _ = _series_eps(ctx.total_digits)._mpf_
+        _, tm, te, tbc = (2 * xm * xm)._mpf_
+        _, sm, se, sbc = xm._mpf_  # term
+        total_m, total_e, total_bc = sm, se, sbc
+        d = 3  # 2n + 3
         while True:
-            ratio = t / (2 * n + 3)
-            term = term * ratio
-            assert term > 0, "oracle series terms must stay positive"
-            total += term
-            n += 1
-            if ratio < mp.mpf(1) / 2 and term < eps * total:
-                break
+            # ratio = t / d: a quotient of >= prec + 3 bits plus a sticky bit
+            k = prec + 3 + d.bit_length() - tbc
+            q, r = divmod(tm << k, d)
+            if r:
+                q = (q << 1) | 1
+                k += 1
+            _, ratio_m, ratio_e, ratio_bc = from_man_exp(q, te - k, prec, round_nearest)
+            _, sm, se, sbc = from_man_exp(sm * ratio_m, se + ratio_e, prec, round_nearest)
+            assert sm > 0, "oracle series terms must stay positive"
+            # total += term; a term more than prec + 4 bits below the total
+            # only perturbs it, so a sticky bit stands in for it
+            off = total_e - se
+            if total_bc + total_e - sbc - se > prec + 4:
+                man, exp = (total_m << (prec + 4)) | 1, total_e - prec - 4
+            elif off >= 0:
+                man, exp = (total_m << off) + sm, se
+            else:
+                man, exp = total_m + (sm << -off), total_e
+            _, total_m, total_e, total_bc = from_man_exp(man, exp, prec, round_nearest)
+            d += 2
+            if ratio_bc + ratio_e < 0:  # ratio < 1/2
+                _, pm, pe, pbc = from_man_exp(em * total_m, ee + total_e, prec, round_nearest)
+                top, ptop = sbc + se, pbc + pe  # term < eps*total, exactly
+                if top < ptop or top == ptop and (
+                    sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se)
+                ):
+                    break
+        total = mp.make_mpf((0, total_m, total_e, total_bc))
         return 2 * mp.exp(-xm * xm) * total / sqrt_pi()
 
 
@@ -103,7 +146,7 @@ def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):
         if zm < 0:
             raise ValueError("bessel_i requires z >= 0, got %r" % z)
         half = zm / 2
-        eps = mp.mpf(10) ** (-ctx.total_digits)
+        eps = _series_eps(ctx.total_digits)
         term = half if order == 1 else mp.mpf(1)
         total = term
         if zm == 0:

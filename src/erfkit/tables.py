@@ -328,9 +328,17 @@ def _select_rows(key: str, rows) -> list:
     return [row for row in printed if row[0] in rows]
 
 
+def _table_key(table_id) -> str:
+    """The TABLES key of ``table_id``; an unknown table is a ValueError."""
+    key = str(table_id)
+    if key not in TABLES:
+        raise ValueError("unknown table %r (have 3,4,5,6,7,8,9,10)" % table_id)
+    return key
+
+
 def parse_rows(table_id, text: str) -> set:
     """Row keys from a comma list: orders '4,24', 'extension', 'g:7' or Table 10 labels."""
-    key = str(table_id)
+    key = _table_key(table_id)
     by_text = {_row_text(row[0]): row[0] for row in TABLES[key][0]}
     rows = {by_text.get(item, item) for item in text.split(",")}
     _select_rows(key, rows)
@@ -343,8 +351,6 @@ def reproduce_table(table_id, rows=None, ctx: PrecisionContext | None = None):
     ``rows`` selects rows by key, the first field of each printed row in
     ``TABLES``; an unknown key raises ValueError. Only selected rows are built.
     """
-    key = str(table_id)
-    if key not in TABLES:
-        raise ValueError("unknown table %r (have 3,4,5,6,7,8,9,10)" % table_id)
+    key = _table_key(table_id)
     _, build_rows, default_ctx = TABLES[key]
     return build_rows(key, _select_rows(key, rows), default_ctx if ctx is None else ctx)

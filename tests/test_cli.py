@@ -17,7 +17,7 @@ from erfkit import (
     taylor,
 )
 from erfkit.cli import main, parse_gen_payload
-from erfkit.oracle import CTX34
+from erfkit.oracle import CTX34, erf_ref
 from erfkit.tables import parse_rows, reproduce_table
 
 
@@ -189,6 +189,23 @@ def test_sweep_rejects_bad_transition(value, tmp_path):
     assert "--transition must be auto, none or a finite number" in str(exc.value.code)
 
 
+def test_sweep_grid_tabulates_the_swept_interval(monkeypatch, tmp_path):
+    # without --interval the sweep runs on (0, 5], so the grid covers b = 5:
+    # floor(5 / (1/4)) + 2 = 22 oracle cells, not the 34 that b = 8 needs
+    import erfkit.grids as grids
+
+    cells = []
+    monkeypatch.setattr(grids, "erf_ref", lambda x, ctx: cells.append(x) or erf_ref(x, ctx))
+    code, _ = run_cli(
+        "sweep", "--family", "grid", "--order", "2", "--resolution", "1/4", "--points", "20",
+        "--out", str(tmp_path / "g.csv"),
+    )
+    assert code == 0
+    assert len(cells) == 22
+    rows = list(csv.reader(open(tmp_path / "g.csv")))
+    assert rows[0][0] == "x[a=0 b=5 N=20 digits=34]"
+
+
 def test_gen_grid_payload():
     code, out = run_cli("gen", "--family", "grid", "--order", "2", "--resolution", "1/2")
     assert code == 0
@@ -232,6 +249,14 @@ def test_unknown_row_is_an_error(table, rows):
     with pytest.raises(SystemExit) as exc:
         run_cli("table", table, "--rows", rows)
     assert exc.value.code not in (0, None)
+
+
+@pytest.mark.parametrize("table", ["11", 2, "x"])
+def test_unknown_table_is_one_error(table):
+    # both library entry points reject a table id outside 3..10 with one error
+    for call in (lambda: parse_rows(table, "1"), lambda: reproduce_table(table)):
+        with pytest.raises(ValueError, match="unknown table"):
+            call()
 
 
 def test_reproduce_table_builds_selected_rows_only(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,8 @@ from erfkit import (
     build_subinterval,
     taylor,
 )
+from erfkit import apps
+from erfkit.exact import as_mpf
 from erfkit.grids import GridApproximant, build_grid_table, build_nonuniform_grid
 from erfkit.oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref
 from erfkit.transition import EnvelopePair, PiecewiseApproximant, published_bounds
@@ -72,6 +75,78 @@ def test_fraction_converts_at_working_precision(name):
     with CTX34.workdps():
         third = mp.mpf(1) / 3
     assert ENTRY_POINTS[name](Fraction(1, 3)) == ENTRY_POINTS[name](third)
+
+
+def erf_ref_mpf(x, ctx):
+    """The confluent series summed on mpf values: the reference erf_ref must equal bit for bit."""
+    with ctx.workdps():
+        xm = as_mpf(x)
+        if xm < 0:
+            return -erf_ref_mpf(-xm, ctx)
+        if xm == 0:
+            return mp.mpf(0)
+        eps = mp.mpf(10) ** (-ctx.total_digits)
+        t = 2 * xm * xm
+        term = xm
+        total = term
+        n = 0
+        while True:
+            ratio = t / (2 * n + 3)
+            term = term * ratio
+            assert term > 0
+            total += term
+            n += 1
+            if ratio < mp.mpf(1) / 2 and term < eps * total:
+                break
+        return 2 * mp.exp(-xm * xm) * total / mp.sqrt(mp.pi)
+
+
+def oracle_points(ctx, seed):
+    """Grids on (0,5], (0,8], (0,12] and (0,30], random and dyadic x, and extremes."""
+    rng = random.Random(seed)
+    with ctx.workdps():
+        grids = ((5, 100), (8, 100), (12, 60), (30, 30))
+        pts = [mp.mpf(b) * i / n for b, n in grids for i in range(1, n + 1)]
+        pts += [mp.mpf(10) ** rng.uniform(-30, mp.log10(40)) for _ in range(40)]
+        pts += [mp.ldexp(rng.randrange(1, 2**12), -rng.randrange(7, 30)) for _ in range(20)]
+        pts += [mp.mpf("1e-40"), mp.ldexp(1, -200), mp.mpf(40), mp.mpf(60), mp.mpf(-3) / 2]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "ctx", [PrecisionContext(16), CTX34, CTX70, PrecisionContext(100)], ids=["d16", "d34", "d70", "d100"]
+)
+def test_erf_ref_is_the_mpf_series_bit_for_bit(ctx):
+    for x in oracle_points(ctx, ctx.working_digits):
+        assert erf_ref(x, ctx)._mpf_ == erf_ref_mpf(x, ctx)._mpf_, x
+
+
+def trapezoid_reference(f, period, ctx, start_nodes):
+    """The doubling loop that evaluates every node of every level."""
+    with ctx.workdps():
+        tol = mp.mpf(10) ** (-(ctx.working_digits + 2))
+        n = start_nodes
+        prev = None
+        while True:
+            h = mp.mpf(period) / n
+            total = mp.fsum(f(i * h) for i in range(n)) * h
+            if prev is not None and abs(total - prev) <= tol * max(1, abs(total)):
+                return total
+            prev = total
+            n *= 2
+
+
+def test_periodic_trapezoid_keeps_its_nodes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(apps, "erf_ref", lambda x, ctx: calls.append(x) or erf_ref(x, ctx))
+    power = apps.output_power_quadrature(2, CTX34)
+    assert len(calls) == 512  # 256 nodes, then the 256 odd nodes of the doubled rule
+    with CTX34.workdps():
+        two_pi = 2 * mp.pi
+        ref = trapezoid_reference(
+            lambda t: erf_ref(2 * mp.sin(two_pi * t), CTX34) ** 2, mp.mpf(1) / 2, CTX34, 256
+        ) * 2
+    assert power._mpf_ == ref._mpf_
 
 
 def test_erf_ref_double_precision_consistency():
