@@ -15,8 +15,12 @@ import mpmath as mp
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpmath float as a Fraction (mpf values are dyadic)."""
-    x = mp.mpf(x)
+    """Exact value of an mpmath float as a Fraction (mpf values are dyadic).
+
+    An mpf is read as given, at any precision; other numbers go through mp.mpf.
+    """
+    if not isinstance(x, mp.mpf):
+        x = mp.mpf(x)
     if not mp.isfinite(x):
         raise ValueError("cannot convert non-finite value %r" % x)
     sign, man, exp, _ = x._mpf_

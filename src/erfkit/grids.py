@@ -1,29 +1,25 @@
 """Dynamic-constant-plus-spline approximants on rational-resolution grids.
 
 A table of exact erf increments c_k = erf(k*delta) - erf((k-1)*delta) covers
-[0, k_max*delta]; inside a cell the order-n interval spline corrects over
-[delta*floor(x/delta), x]. Cell classification is exact: the mpf argument is
-converted to its dyadic rational and compared against rational multiples of
-delta, so boundary points land in the right cell with offset exactly 0 and
-nearly-boundary points are never snapped.
+[0, k_max*delta]; a cell adds the order-n ``spline.IntervalSpline`` from its
+exact knot delta*floor(x/delta) to x, and non-uniform knots use the same rule
+at the knot's exact dyadic value. Cell classification is exact: the mpf
+argument is converted to its dyadic rational and compared against rational
+multiples of delta, so boundary points land in the right cell with offset
+exactly 0 and nearly-boundary points are never snapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import (
-    as_mpf,
-    fraction_to_mpf,
-    hermite_table,
-    hermite_values_mpf,
-    mpf_to_fraction,
-    spline_coeff,
-)
-from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
+from .exact import as_mpf, fraction_to_mpf, mpf_to_fraction
+from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref
+from .spline import IntervalSpline
 
 
 def floor_cells(x, delta) -> tuple:
@@ -76,53 +72,16 @@ def build_grid_table(delta, k_max: int, ctx: PrecisionContext = CTX34) -> GridTa
     return GridTable(delta, tuple(cs), tuple(partial), saturated)
 
 
-def _spline_weights(n: int) -> list:
-    """Doubled quadrature weights 2 c_{n,k}, k = 0..n."""
-    return [2 * spline_coeff(n, k) for k in range(n + 1)]
-
-
-def _corrected(base, weights, xm, offset, pk_alpha, ealpha):
-    """base plus the order-n interval spline for erf over [xm - offset, xm].
-
-    pk_alpha holds p(k, alpha) and ealpha is exp(-alpha^2) at the cell start
-    alpha = xm - offset; weights are the doubled quadrature weights.
-    """
-    px = hermite_values_mpf(len(weights) - 1, xm)
-    ex = mp.exp(-xm * xm)
-    acc = mp.mpf(0)
-    wk = offset
-    for k, c in enumerate(weights):
-        ck = fraction_to_mpf(c)
-        right = px[k] * ex if k % 2 == 0 else -px[k] * ex
-        acc += ck * wk * (pk_alpha[k] * ealpha + right)
-        wk *= offset
-    return base + acc / sqrt_pi()
-
-
 class GridApproximant(OddApproximant):
-    """Order-n spline correction on top of a GridTable; valid for covered x."""
+    """Tabulated erf at the cell's knot plus the cell's order-n IntervalSpline; valid for covered x."""
 
     def __init__(self, order: int, table: GridTable):
         self.order = order
         self.table = table
-        self._htable = hermite_table(order)
-        self._coeffs = _spline_weights(order)
-        self._cell_cache: dict = {}
-
-    def _cell_data(self, index: int):
-        """p(k, alpha) values and exp(-alpha^2) for a cell start alpha = index*delta."""
-        key = (index, mp.mp.prec)
-        hit = self._cell_cache.get(key)
-        if hit is None:
-            alpha = self.table.resolution * index
-            alpha_m = fraction_to_mpf(alpha)
-            pk = [fraction_to_mpf(self._htable[k].evaluate(alpha)) for k in range(self.order + 1)]
-            hit = (pk, mp.exp(-alpha_m * alpha_m))
-            self._cell_cache[key] = hit
-        return hit
+        self._cells: dict = {}
 
     def positive(self, xm, ctx: PrecisionContext):
-        index, offset = floor_cells(xm, self.table.resolution)
+        index, _ = floor_cells(xm, self.table.resolution)
         if index > self.table.k_max:
             if not self.table.saturated:
                 raise ValueError(
@@ -132,7 +91,10 @@ class GridApproximant(OddApproximant):
             base = self.table.partial[-1]
         else:
             base = self.table.partial[index]
-        return _corrected(base, self._coeffs, xm, offset, *self._cell_data(index))
+        cell = self._cells.get(index)
+        if cell is None:
+            cell = self._cells[index] = IntervalSpline(self.order, self.table.resolution * index)
+        return base + cell._correction(xm)
 
 
 def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> GridApproximant:
@@ -151,6 +113,7 @@ class NonUniformGrid:
     knots: tuple  # mpf knots, not including 0
     c: tuple  # c[k] pairs with knots[k-1]; c[0] = 0
     partial: tuple
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGrid:
@@ -175,13 +138,9 @@ def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX
         xm = as_mpf(x)
         if xm < 0:
             return -eval_nonuniform(n, grid, -xm, ctx)
-        idx = 0
-        for i, k in enumerate(grid.knots, start=1):
-            if k <= xm:
-                idx = i
-            else:
-                break
-        x_s = grid.knots[idx - 1] if idx else mp.mpf(0)
-        pk_alpha = hermite_values_mpf(n, x_s)
-        ealpha = mp.exp(-x_s * x_s)
-        return _corrected(grid.partial[idx], _spline_weights(n), xm, xm - x_s, pk_alpha, ealpha)
+        idx = bisect_right(grid.knots, xm)
+        cell = grid._cells.get((n, idx))
+        if cell is None:
+            alpha = mpf_to_fraction(grid.knots[idx - 1]) if idx else Fraction(0)
+            cell = grid._cells[n, idx] = IntervalSpline(n, alpha)
+        return grid.partial[idx] + cell._correction(xm)

@@ -25,7 +25,7 @@ def decimal_string(value, sig_digits: int) -> str:
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
     if not isinstance(value, (Fraction, int)):
-        value = mpf_to_fraction(value)
+        value = mpf_to_fraction(mp.mpf(value))
     frac = Fraction(value)
     if frac == 0:
         return "0"

@@ -6,13 +6,14 @@ m = 1 case,
     f_n(x) = (2/sqrt(pi)) * sum_k c_{n,k} x^(k+1) [p(k,0) + (-1)^k p(k,x) e^(-x^2)].
 Forms are stored exactly as a PolyExpSum scaled by sqrt(pi); the 1/sqrt(pi)
 prefactor is applied once at evaluation. All approximants extend to negative
-arguments by odd symmetry (the polynomials involved are all odd).
+arguments by odd symmetry (the polynomials involved are all odd). On a fixed
+interval [alpha, x] the rule is ``IntervalSpline``, evaluated numerically in x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,9 +21,10 @@ import mpmath as mp
 from .exact import (
     PolyExpSum,
     RationalPolynomial,
-    ZERO_POLY,
     as_mpf,
+    fraction_to_mpf,
     hermite_table,
+    hermite_values_mpf,
     spline_coeff,
 )
 from .oracle import CTX34, OddApproximant, PrecisionContext, sqrt_pi
@@ -134,41 +136,46 @@ def residual_diagnostics(n: int, truncation_terms: int = 8) -> ResidualDiagnosti
 
 @dataclass(frozen=True)
 class IntervalSpline:
-    """Order-n spline approximation of erf(x) - erf(alpha) over [alpha, x].
+    """Order-n two-point spline rule for erf(x) - erf(alpha) over [alpha, x], alpha exact.
 
-    The e^(-alpha^2) weight is carried symbolically (alpha stored exactly)
-    and applied at evaluation; poly_alpha/poly_x are sqrt(pi)-scaled.
+    (2/sqrt(pi)) sum_k c_{n,k} (x-alpha)^(k+1) [p(k,alpha)e^(-alpha^2) + (-1)^k p(k,x)e^(-x^2)],
+    evaluated numerically in x - alpha, so no power of x cancels at large alpha.
+    The alpha side is rounded once per binary precision.
     """
 
     order: int
     alpha: Fraction
-    poly_alpha: RationalPolynomial
-    poly_x: RationalPolynomial
+    _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _correction(self, xm):
+        """The rule at the current precision for an mpf x."""
+        rounded = self._rounded.get(mp.mp.prec)
+        if rounded is None:  # 2c_{n,k}, p(k,alpha)e^(-alpha^2) and alpha at this precision
+            alpha_m = fraction_to_mpf(self.alpha)
+            ealpha = mp.exp(-alpha_m * alpha_m)
+            weights = [fraction_to_mpf(2 * spline_coeff(self.order, k)) for k in range(self.order + 1)]
+            left = [fraction_to_mpf(p.evaluate(self.alpha)) * ealpha for p in hermite_table(self.order)]
+            rounded = self._rounded[mp.mp.prec] = (weights, left, alpha_m)
+        weights, left, alpha_m = rounded
+        offset = xm - alpha_m
+        px = hermite_values_mpf(self.order, xm)
+        ex = mp.exp(-xm * xm)
+        acc = mp.mpf(0)
+        wk = offset
+        for k, ck in enumerate(weights):
+            right = px[k] * ex if k % 2 == 0 else -px[k] * ex
+            acc += ck * wk * (left[k] + right)
+            wk *= offset
+        return acc / sqrt_pi()
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = as_mpf(x)
-            ea = mp.exp(-mp.mpf(self.alpha.numerator) ** 2 / self.alpha.denominator**2)
-            ex = mp.exp(-xm * xm)
-            return (self.poly_alpha.eval_mpf(xm) * ea + self.poly_x.eval_mpf(xm) * ex) / sqrt_pi()
+            return self._correction(as_mpf(x))
 
 
 def build_interval_spline(n: int, alpha) -> IntervalSpline:
-    """General-interval form: (2/sqrt(pi)) sum_k c_{n,k} (x-a)^(k+1) [p(k,a)e^(-a^2) + (-1)^k p(k,x)e^(-x^2)]."""
+    """The order-n rule on [alpha, x] for a rational alpha >= 0."""
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    table = hermite_table(n)
-    shift = RationalPolynomial([-alpha, 1])
-    shift_pow = shift
-    poly_alpha = ZERO_POLY
-    poly_x = ZERO_POLY
-    for k in range(n + 1):
-        c2 = 2 * spline_coeff(n, k)
-        pka = table[k].evaluate(alpha)
-        if pka:
-            poly_alpha = poly_alpha + (c2 * pka) * shift_pow
-        sign = -1 if k % 2 else 1
-        poly_x = poly_x + (sign * c2) * (shift_pow * table[k])
-        shift_pow = shift_pow * shift
-    return IntervalSpline(n, alpha, poly_alpha, poly_x)
+    return IntervalSpline(n, alpha)

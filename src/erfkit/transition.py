@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 import mpmath as mp
 
-from .exact import PolyExpSum, RationalPolynomial, as_mpf
+from .exact import PolyExpSum, RationalPolynomial, as_mpf, mpf_to_fraction
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
 
@@ -185,7 +185,9 @@ class EnvelopePair:
     eps_b: object
 
     def __post_init__(self):
-        e = as_mpf(self.eps_b)
+        # exact, so no working precision rounds an eps_B just below 1 up to 1
+        e = self.eps_b
+        e = Fraction(e) if isinstance(e, (Fraction, int, str)) else mpf_to_fraction(e)
         if not 0 < e < 1:
             raise ValueError("envelope requires 0 < eps_B < 1")
 

@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
+from erfkit.exact import as_mpf
 from erfkit.grids import (
     GridApproximant,
     build_grid_table,
@@ -11,9 +13,10 @@ from erfkit.grids import (
     eval_nonuniform,
     floor_cells,
 )
-from erfkit.oracle import CTX34, erf_ref
+from erfkit.oracle import CTX34, CTX70, erf_ref
 from erfkit.spline import build_spline
-from erfkit.transition import sweep
+from erfkit.tables import TABLE10
+from erfkit.transition import grid_points, sweep
 
 
 def test_table_values_at_half():
@@ -144,10 +147,11 @@ def test_nonuniform_matches_uniform_on_uniform_knots():
     with CTX34.workdps():
         knots = [mp.mpf(k) / 2 for k in range(1, 13)]
         grid = build_nonuniform_grid(knots, CTX34)
-        x = mp.mpf("2.75")
-        a = eval_nonuniform(2, grid, x, CTX34)
-        b = GridApproximant(2, t).value(x, CTX34)
-        assert mp.almosteq(a, b, rel_eps=mp.mpf("1e-38"))
+        for n in (2, 6):
+            for x in ("0.3", "2.75", "4.5", "5.9"):
+                a = eval_nonuniform(n, grid, mp.mpf(x), CTX34)
+                b = GridApproximant(n, t).value(mp.mpf(x), CTX34)
+                assert a == b, (n, x)
 
 
 def test_nonuniform_below_first_knot_is_plain_spline():
@@ -178,3 +182,41 @@ def test_bad_inputs():
         floor_cells(mp.mpf(-1), F(1, 2))
     with pytest.raises(ValueError):
         build_nonuniform_grid([mp.mpf(2), mp.mpf(1)], CTX34)
+
+
+# sha256 of the _mpf_ of grid values at a fixed sample: 97 sweep points of the
+# interval, every knot k*delta and the points 1e-9 either side of each. The
+# first four are the Table 10 grid rows, the last a 70-digit table.
+GRID_VALUE_PINS = {
+    "grid n=3 d=3/4": "a55c90ca2adfb0c73a830a270c7a49600fa90849512ec7435b8ba0407bd5b974",
+    "grid n=4 d=3/8": "5509b701f41cac4a7e9b1a40050eda433a08f12d721a19b0f1bc108df5a4592e",
+    "grid n=6 d=1/4": "20493e0f8ba193ce9aa274d14919ac96c14699dd06808c924581f4e283559b79",
+    "grid n=2 d=19/20": "b7a0718652709ce0b23e88800b2f94c440a550a485364f843fc5c3d1409b0e63",
+    "70 digits n=4 d=1/2": "273bcd233af51a72f7a016d6c55bfde294d70f9a3b6fe2d3f08256b681d00d1c",
+}
+
+
+def _grid_case(label):
+    if label.startswith("70 digits"):
+        return GridApproximant(4, build_grid_table(F(1, 2), 18, CTX70)), (0, 9), CTX70
+    n, delta = int(label.split()[1][2:]), F(label.split()[2][2:])
+    interval = (0, 5) if delta == F(19, 20) else (0, 8)
+    return covering_grid(n, delta, interval, CTX34), interval, CTX34
+
+
+@pytest.mark.parametrize(
+    "label", [row[0] for row in TABLE10 if row[0].startswith("grid")] + ["70 digits n=4 d=1/2"]
+)
+def test_grid_values_pinned_bit_for_bit(label):
+    grid, interval, ctx = _grid_case(label)
+    delta, k_max = grid.table.resolution, grid.table.k_max
+    step = F(1, 10**9)
+    digest = hashlib.sha256()
+    with ctx.workdps():
+        xs = list(grid_points(interval, 97))
+        xs += [as_mpf(delta * k) for k in range(k_max + 1)]
+        xs += [as_mpf(delta * k + s) for k in range(1, k_max) for s in (-step, step)]
+        for x in xs:
+            sign, man, exp, bc = grid.value(x, ctx)._mpf_
+            digest.update(b"%d %d %d %d\n" % (sign, man, exp, bc))
+    assert digest.hexdigest() == GRID_VALUE_PINS[label]

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from erfkit.exact import PolyExpSum, RationalPolynomial
-from erfkit.oracle import CTX34, PrecisionContext, erf_ref
+from erfkit.oracle import CTX34, CTX70, PrecisionContext, erf_ref
 from erfkit.spline import (
     build_interval_spline,
     build_spline,
@@ -95,10 +95,22 @@ def test_residual_scale_closed_form(n):
 
 
 def test_interval_spline_alpha_zero_reduces():
+    # on [0, x] the rule is f_n itself
     s = build_spline(3)
     iv = build_interval_spline(3, 0)
-    assert iv.poly_alpha == s.form.poly_at(0)
-    assert iv.poly_x == s.form.poly_at(1)
+    with CTX34.workdps():
+        for x in ("0.001", "0.5", "1.3", "2.75", "6"):
+            assert mp.almosteq(iv.value(x, CTX34), s.value(x, CTX34), rel_eps=mp.mpf("1e-40"))
+
+
+@pytest.mark.parametrize("n, alpha, x", [(10, 8, F(65, 8)), (6, 7, F(29, 4)), (12, 6, F(25, 4))])
+def test_interval_spline_keeps_digits_at_large_alpha(n, alpha, x):
+    # the rule's value at 34 digits agrees with the same rule at 70 digits
+    iv = build_interval_spline(n, alpha)
+    v34 = iv.value(x, CTX34)
+    v70 = iv.value(x, CTX70)
+    with CTX70.workdps():
+        assert abs(v34 - v70) <= mp.mpf("1e-40") * abs(v70)
 
 
 def test_interval_spline_empty_interval():

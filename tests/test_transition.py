@@ -148,6 +148,18 @@ def test_envelope_validation():
         EnvelopePair(build_spline(2), mp.mpf(1))
 
 
+def test_envelope_checks_eps_b_exactly():
+    # eps_B just below 1 is accepted whatever the current precision
+    below_one = (1 - F(1, 10**20), "0.99999999999999999999")
+    with CTX34.workdps():
+        below_one += (mp.mpf(1) - mp.mpf(10) ** -30,)
+    for eps in below_one:
+        EnvelopePair(build_spline(4), eps)
+    for eps in (0, 1, F(1), "1", -F(1, 10**20), mp.mpf(-1), "nan", mp.nan, float("nan")):
+        with pytest.raises(ValueError):
+            EnvelopePair(build_spline(4), eps)
+
+
 def test_envelope_collapses_with_tiny_eps():
     class Oracle:
         def value(self, x, ctx):
