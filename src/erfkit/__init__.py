@@ -8,7 +8,6 @@ from .exact import (
     RationalPolynomial,
     hermite_table,
     integrate_odd,
-    integrate_odd_monomial,
     spline_coeff,
 )
 from .gauss import build_erf_series, build_gauss_g, build_gauss_h
@@ -27,8 +26,6 @@ from .spline import (
     residual_diagnostics,
 )
 from .sqrtform import (
-    alpha_coeffs,
-    beta_coeffs,
     build_sqrt,
     complementary_demarcation,
     pi_constant_sequence,

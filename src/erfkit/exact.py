@@ -274,32 +274,14 @@ class PolyExpSum:
         return acc
 
 
-def integrate_odd_monomial(power: int, rate) -> tuple[Fraction, RationalPolynomial]:
-    """Exact integral of t^power * exp(-rate t^2) from 0 to x, odd power, rate > 0.
-
-    Returns (constant, q) such that the integral equals
-    constant + q(x)*exp(-rate x^2); q is even with degree power-1.
-    """
-    if power < 1 or power % 2 == 0:
-        raise ValueError("integrate_odd_monomial needs an odd power, got %d" % power)
-    rate = Fraction(rate)
-    if rate <= 0:
-        raise ValueError("integrate_odd_monomial needs rate > 0, got %s" % rate)
-    j = (power - 1) // 2
-    fj = math.factorial(j)
-    const = Fraction(fj, 2) / rate ** (j + 1)
-    coeffs = [Fraction(0)] * (2 * j + 1)
-    for r in range(j + 1):
-        coeffs[2 * r] = -Fraction(fj, 2 * math.factorial(r)) / rate ** (j + 1 - r)
-    return const, RationalPolynomial(coeffs)
-
-
 def integrate_odd(s: PolyExpSum) -> PolyExpSum:
     """Exact integral from 0 to x of a sum whose polynomials are all odd.
 
-    The k=0 part integrates to an even polynomial; each exponential monomial
-    uses the closed form from integrate_odd_monomial. Raises ValueError when
-    an exponential term carries an even power (no closed form here).
+    The k=0 part integrates to an even polynomial. Under exp(-k x^2) the
+    integral of an odd P is Q(x)exp(-k x^2) - Q(0) with Q even and
+    P = Q' - 2k x Q, which fixes Q from the top coefficient down in one pass:
+    b_2i = ((2i+2) b_(2i+2) - a_(2i+1)) / (2k). Raises ValueError when a term
+    carries an even power (no closed form here).
     """
     parts = []
     constant = Fraction(0)
@@ -313,14 +295,13 @@ def integrate_odd(s: PolyExpSum) -> PolyExpSum:
             raise ValueError(
                 "even power under exp(-%s x^2): no closed form in this algebra" % rate
             )
-        qacc = ZERO_POLY
-        for power, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            const, q = integrate_odd_monomial(power, rate)
-            constant += c * const
-            qacc = qacc + c * q
-        parts.append((rate, qacc))
+        a = poly.coeffs
+        q = [Fraction(0)] * len(a)
+        b = Fraction(0)
+        for j in range(len(a) - 2, -1, -2):
+            b = q[j] = ((j + 2) * b - a[j + 1]) / (2 * rate)
+        constant -= b
+        parts.append((rate, RationalPolynomial(q)))
     if constant:
         parts.append((Fraction(0), RationalPolynomial([constant])))
     return PolyExpSum(parts)

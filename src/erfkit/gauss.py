@@ -20,6 +20,7 @@ from .spline import (
     PolyExpApproximant,
     SplineApproximant,
     build_spline,
+    check_order,
     residual_derivative,
     residual_diagnostics,
 )
@@ -62,6 +63,7 @@ def build_gauss_g(n: int) -> RationalFunctionApproximant:
 
 def build_gauss_h(n: int) -> RationalFunctionApproximant:
     """h_n: numerator 1 - c_{n,0}x^2 + c_{n,1}x^4 - ..., denominator all-plus."""
+    check_order("gauss_h", n)
     num = [Fraction(0)] * (2 * n + 3)
     den = [Fraction(0)] * (2 * n + 3)
     num[0] = den[0] = Fraction(1)

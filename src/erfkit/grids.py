@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .exact import as_mpf, fraction_to_mpf, mpf_to_fraction
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref
-from .spline import IntervalSpline
+from .spline import IntervalSpline, check_order
 
 
 def floor_cells(x, delta) -> tuple:
@@ -99,6 +99,7 @@ class GridApproximant(OddApproximant):
 
 def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> GridApproximant:
     """Order-n grid approximant covering [0, b] for interval (a, b): k_max = floor(b/delta) + 2."""
+    check_order("grid", n)
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("resolution must be positive")

@@ -70,11 +70,16 @@ def spline_form(n: int, m: int) -> PolyExpSum:
     return PolyExpSum(terms)
 
 
+def check_order(family: str, n: int) -> int:
+    """n itself if it is an order of the spline rule, 0..64; else a ValueError naming the family."""
+    if n < 0 or n > 64:
+        raise ValueError("%s order must be in 0..64, got %r" % (family, n))
+    return n
+
+
 def build_spline(n: int) -> SplineApproximant:
     """Generate f_n, the one-interval case of ``spline_form`` (decay rates {0, 1})."""
-    if n < 0 or n > 64:
-        raise ValueError("spline order must be in 0..64, got %r" % n)
-    return SplineApproximant(n, spline_form(n, 1))
+    return SplineApproximant(n, spline_form(check_order("spline", n), 1))
 
 
 def residual_derivative(n: int) -> PolyExpSum:
@@ -146,6 +151,9 @@ class IntervalSpline:
     order: int
     alpha: Fraction
     _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_order("interval spline", self.order)
 
     def _correction(self, xm):
         """The rule at the current precision for an mpf x."""

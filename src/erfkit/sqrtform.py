@@ -4,11 +4,9 @@ Driving y' + g y = g with g(t) = (4/sqrt(pi)) e^(-t^2) f(t) turns any odd
 poly-exp approximant f into y = 1 - exp(-S) with S available in closed form;
 sqrt(S) then approximates erf with an error bounded on all of [0, inf).
 Coefficients are rational multiples of 1/pi, so the radicand is stored
-pi-scaled and stays exact; pi enters only at evaluation.
-
-Two independent construction routes are kept: the descending coefficient
-recurrences (alpha_coeffs / beta_coeffs) and term-wise exact integration of
-the driving signal (sqrt_transform). Their agreement is asserted in tests.
+pi-scaled and stays exact; pi enters only at evaluation. ``sqrt_transform``
+is the one construction: it integrates the driving signal exactly with
+``exact.integrate_odd``, and ``build_sqrt(n)`` is its transform of f_n.
 """
 
 from __future__ import annotations
@@ -24,11 +22,10 @@ from .exact import (
     RationalPolynomial,
     as_mpf,
     fraction_to_mpf,
-    hermite_table,
     integrate_odd,
-    spline_coeff,
 )
 from .oracle import CTX34, OddApproximant, PrecisionContext, sqrt_pi
+from .spline import build_spline
 
 
 @dataclass(frozen=True)
@@ -73,66 +70,12 @@ class SqrtForm(OddApproximant):
         return mp.sqrt(r) / sqrt_pi()
 
 
-def alpha_coeffs(n: int) -> list:
-    """pi-scaled coefficients of the e^(-x^2) polynomial, descending recurrence.
-
-    Length m+1 with m = n for even n, n-1 for odd n; odd entries are zero.
-    """
-    table = hermite_table(n)
-    m = n if n % 2 == 0 else n - 1
-    alpha = [Fraction(0)] * (m + 1)
-    if m == 0:
-        alpha[0] = -4 * spline_coeff(n, 0) * table[0].coeff(0)
-        return alpha
-    alpha[m] = -4 * spline_coeff(n, m) * table[m].coeff(0)
-    for i in range(1, m // 2):
-        j = m - 2 * i
-        alpha[j] = Fraction(j + 2, 2) * alpha[j + 2] - 4 * spline_coeff(n, j) * table[j].coeff(0)
-    alpha[0] = alpha[2] - 4 * spline_coeff(n, 0) * table[0].coeff(0)
-    return alpha
-
-
-def beta_coeffs(n: int) -> list:
-    """pi-scaled coefficients of the e^(-2x^2) polynomial, length 2n+1."""
-    table = hermite_table(n)
-    beta = [Fraction(0)] * (2 * n + 1)
-    sign_n = -1 if n % 2 else 1
-    beta[2 * n] = -2 * sign_n * spline_coeff(n, n) * table[n].coeff(n)
-    if n == 0:
-        return beta
-    for i in range(1, n):
-        j = 2 * n - 2 * i
-        total = Fraction(0)
-        for k in range(n - i, min(2 * n - 2 * i, n) + 1):
-            sign = -1 if k % 2 else 1
-            total += sign * spline_coeff(n, k) * table[k].coeff(2 * (n - i) - k)
-        beta[j] = Fraction(j + 2, 4) * beta[j + 2] - 2 * total
-    beta[0] = beta[2] / 2 - 2 * spline_coeff(n, 0) * table[0].coeff(0)
-    return beta
-
-
-def build_sqrt(n: int) -> SqrtForm:
-    """Assemble the order-n sqrt form from the coefficient recurrences."""
-    alpha = alpha_coeffs(n)
-    beta = beta_coeffs(n)
-    q0 = -(alpha[0] + beta[0])
-    return SqrtForm(
-        base_order=n,
-        q0=q0,
-        terms=(
-            (Fraction(1), RationalPolynomial(alpha)),
-            (Fraction(2), RationalPolynomial(beta)),
-        ),
-    )
-
-
 def sqrt_transform(base: PolyExpSum, base_order: int = -1) -> SqrtForm:
     """Sqrt form for any odd sqrt(pi)-scaled poly-exp base approximant.
 
     The pi-scaled radicand S satisfies S'(x) = 4 e^(-x^2) base(x) with
-    S(0) = 0; each odd monomial integrates in closed form, which is exactly
+    S(0) = 0; ``integrate_odd`` gives it in closed form, which is exactly
     the mechanism that makes the feedback differential equation solvable.
-    Applied to build_spline(n).form this must reproduce build_sqrt(n).
     """
     for rate, poly in base.terms:
         if not poly.is_odd_poly():
@@ -144,6 +87,11 @@ def sqrt_transform(base: PolyExpSum, base_order: int = -1) -> SqrtForm:
         raise AssertionError("radicand polynomial part must be constant")
     terms = tuple((r, p) for r, p in radicand.terms if r != 0)
     return SqrtForm(base_order=base_order, q0=q0, terms=terms)
+
+
+def build_sqrt(n: int) -> SqrtForm:
+    """The order-n sqrt form: the feedback transform of f_n (rates 1 and 2)."""
+    return sqrt_transform(build_spline(n).form, n)
 
 
 def pi_constant_sequence(max_order: int) -> list:

@@ -36,12 +36,18 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     """Grid points and cached erf references for a sweep specification.
 
     Keyed by the endpoints as mpf at the working precision, the exact values
-    the grid is computed from.
+    the grid is computed from. A grid needs 0 <= a < b and N >= 2, so that no
+    point lands on x = 0; anything else is a ValueError.
     """
     with ctx.workdps():
         key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
         hit = _REF_GRID_CACHE.get(key)
         if hit is None:
+            if not 0 <= key[0] < key[1] or n_points < 2:
+                raise ValueError(
+                    "a sweep grid needs 0 <= a < b and at least 2 points, got (%s, %s] with %d"
+                    % (interval[0], interval[1], n_points)
+                )
             xs = tuple(grid_points(interval, n_points))
             hit = _REF_GRID_CACHE[key] = (xs, tuple(erf_ref(x, ctx) for x in xs))
     return hit
@@ -84,8 +90,6 @@ class SweepReport:
 
 def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> SweepReport:
     """Relative-error sweep of an approximant against the erf oracle."""
-    if n_points < 2:
-        raise ValueError("sweep needs at least 2 points")
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
         res = tuple(_relative_errors(approx, xs, refs, ctx))

@@ -11,12 +11,12 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from erfkit.exact import PolyExpSum, RationalPolynomial
+from erfkit.exact import RationalPolynomial
 from erfkit.gauss import build_erf_series
 from erfkit.grids import GridApproximant, build_grid_table
 from erfkit.oracle import CTX34, CTX70, PrecisionContext, erf_ref
 from erfkit.spline import build_spline, residual_derivative, residual_scale
-from erfkit.sqrtform import build_sqrt, pi_constant_sequence, sqrt_transform
+from erfkit.sqrtform import build_sqrt, pi_constant_sequence
 from erfkit.subinterval import build_subinterval
 from erfkit.tables import reproduce_table, sqrt_family_bound
 from erfkit.transition import (
@@ -28,6 +28,7 @@ from erfkit.transition import (
     taylor,
 )
 
+from sqrt_recurrences import recurrence_sqrt
 from test_gauss import PRINTED_G
 from test_spline import PRINTED_FORMS, PRINTED_RESIDUAL_DERIVATIVES
 from test_sqrtform import PRINTED_SQRT
@@ -362,11 +363,9 @@ def test_c14_property_suite():
                     for i in range(m)
                 )
                 assert abs(total - f.value(xm, CTX34)) < mp.mpf("1e-38")
-    # dynamical-system recurrences == exact term-wise integration, n <= 24
+    # dynamical-system recurrences == exact integration of the driving signal, n <= 24
     for n in range(25):
-        a = build_sqrt(n)
-        b = sqrt_transform(build_spline(n).form, n)
-        assert a.q0 == b.q0 and PolyExpSum(a.terms) == PolyExpSum(b.terms)
+        assert build_sqrt(n) == recurrence_sqrt(n)
     # Gaussian approximant derivative identity, n <= 24
     from erfkit.gauss import gauss_g_parts
 

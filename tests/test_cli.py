@@ -28,6 +28,11 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_gen_spline_matches_printed_form():
     code, out = run_cli("gen", "--family", "spline", "--order", "2")
     assert code == 0
@@ -148,6 +153,39 @@ def test_spline_order_out_of_range_is_a_usage_error(tmp_path):
     assert exc.value.code == "erfkit sweep: spline order must be in 0..64, got 65"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sqrt", "--order", "-1"], "spline order must be in 0..64, got -1"),
+        (["sqrt", "--order", "65"], "spline order must be in 0..64, got 65"),
+        (["gauss_h", "--order", "-1"], "gauss_h order must be in 0..64, got -1"),
+        (["gauss_h", "--order", "70"], "gauss_h order must be in 0..64, got 70"),
+        (["grid", "--order", "-1", "--resolution", "1/2"], "grid order must be in 0..64, got -1"),
+    ],
+    ids=["sqrt-1", "sqrt65", "gauss_h-1", "gauss_h70", "grid-1"],
+)
+def test_gen_order_out_of_range_is_a_usage_error(argv, message, monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("the erf table was tabulated for an invalid order")
+
+    monkeypatch.setattr("erfkit.grids.erf_ref", no_oracle)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--family", *argv)
+    assert exc.value.code == "erfkit gen: " + message
+
+
+def test_sweep_bad_grid_is_a_usage_error(tmp_path):
+    # (1, 0] with 3 points puts x_3 on 0, where the relative error divides by erf(0)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "sweep", "--family", "spline", "--order", "2", "--interval", "1:0", "--points", "3",
+            "--out", str(tmp_path / "s.csv"),
+        )
+    assert exc.value.code == (
+        "erfkit sweep: a sweep grid needs 0 <= a < b and at least 2 points, got (1, 0] with 3"
+    )
+
+
 def test_sweep_csv_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -158,7 +196,7 @@ def test_sweep_csv_deterministic(tmp_path):
         )
         assert code == 0
     assert out1.read_text() == out2.read_text()
-    rows = list(csv.reader(open(out1)))
+    rows = read_csv(out1)
     assert rows[0][0].startswith("x[a=0 b=5 N=200 digits=20")
     assert rows[0][1:] == ["re", "abs_re"]
     assert len(rows) == 201
@@ -171,7 +209,7 @@ def test_sweep_transition_auto(tmp_path):
         "--points", "500", "--transition", "auto", "--out", str(out),
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_csv(out)
     # beyond the transition the approximant is the constant 1
     last_x, last_re, _ = rows[-1]
     assert abs(float(last_re)) < 2e-3
@@ -202,7 +240,7 @@ def test_sweep_grid_tabulates_the_swept_interval(monkeypatch, tmp_path):
     )
     assert code == 0
     assert len(cells) == 22
-    rows = list(csv.reader(open(tmp_path / "g.csv")))
+    rows = read_csv(tmp_path / "g.csv")
     assert rows[0][0] == "x[a=0 b=5 N=20 digits=34]"
 
 
@@ -219,7 +257,7 @@ def test_table_command_pass_and_exit_code(tmp_path):
     out = tmp_path / "t7.csv"
     code, text = run_cli("table", "7", "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_csv(out)
     assert rows[0] == ["table", "row", "computed", "printed", "status", "note"]
     assert all(r[4] == "pass" for r in rows[1:])
     assert "pass" in text
@@ -284,7 +322,7 @@ def test_apps_harmonics_csv_with_flagged_k7(tmp_path):
         "--out", str(out),
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_csv(out)
     assert len(rows) == 2 and rows[1][0] == "2"
     assert rows[1][-1].endswith(",1")  # the printed k=7 form fails arbitration at a=2
 
@@ -296,7 +334,7 @@ def test_apps_power_csv(tmp_path):
         "--out", str(out),
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_csv(out)
     assert len(rows) == 5
     values = [float(r[1]) for r in rows[1:]]
     assert values == sorted(values)  # monotone increasing power
@@ -309,7 +347,7 @@ def test_apps_filter_csv(tmp_path):
         "--digits", "20", "--t-range", "0:3", "--out", str(out),
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_csv(out)
     assert len(rows) == 7
     ys = [float(r[1]) for r in rows[1:]]
     assert all(0 < y <= 1 + 1e-12 for y in ys)

@@ -11,10 +11,10 @@ from erfkit.exact import (
     hermite_table,
     hermite_values_mpf,
     integrate_odd,
-    integrate_odd_monomial,
     mpf_to_fraction,
     spline_coeff,
 )
+from erfkit.spline import spline_form
 
 import mpmath as mp
 
@@ -97,16 +97,25 @@ def test_polyexp_differentiate_fixture():
 
 
 def test_integrate_odd_monomial_fixture():
-    const, poly = integrate_odd_monomial(1, 1)
-    assert const == F(1, 2)
-    assert poly == RationalPolynomial([F(-1, 2)])
+    # integral of t e^(-t^2) from 0 to x is 1/2 - e^(-x^2)/2
+    integral = integrate_odd(PolyExpSum([(1, [0, 1])]))
+    assert integral.poly_at(0) == RationalPolynomial([F(1, 2)])
+    assert integral.poly_at(1) == RationalPolynomial([F(-1, 2)])
 
 
 def test_integrate_odd_rejects_even_power():
     with pytest.raises(ValueError):
-        integrate_odd_monomial(2, 1)
-    with pytest.raises(ValueError):
         integrate_odd(PolyExpSum([(1, [1])]))
+    with pytest.raises(ValueError):
+        integrate_odd(PolyExpSum([(0, [1])]))
+
+
+@pytest.mark.parametrize("n, m", [(n, 1) for n in range(41)] + [(1, 4), (2, 4), (16, 16), (32, 64)])
+def test_integrate_odd_is_exact_on_generated_forms(n, m):
+    form = spline_form(n, m)  # sqrt(pi) f_{n,m}; m = 1 is f_n
+    integral = integrate_odd(form)
+    assert integral.differentiate() == form
+    assert sum((poly.evaluate(0) for _, poly in integral.terms), F(0)) == 0
 
 
 def test_integrate_then_differentiate_roundtrip():

@@ -156,3 +156,9 @@ def test_series_value_is_base_plus_tail():
 def test_series_validation():
     with pytest.raises(ValueError):
         build_erf_series(1, 0)
+
+
+@pytest.mark.parametrize("n", [-1, 65, 70])
+def test_gauss_h_rejects_orders_outside_the_rule(n):
+    with pytest.raises(ValueError, match=r"gauss_h order must be in 0\.\.64, got %d" % n):
+        build_gauss_h(n)

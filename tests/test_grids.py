@@ -42,6 +42,27 @@ def test_covering_grid_rejects_nonpositive_resolution():
             covering_grid(2, delta, (0, 8))
 
 
+@pytest.mark.parametrize("n", [-1, 65])
+def test_covering_grid_rejects_bad_order_before_tabulating(n, monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("the erf table was tabulated for an invalid order")
+
+    monkeypatch.setattr("erfkit.grids.erf_ref", no_oracle)
+    with pytest.raises(ValueError, match=r"grid order must be in 0\.\.64, got %d" % n):
+        covering_grid(n, F(1, 2), (0, 8))
+
+
+def test_cells_reject_orders_outside_the_rule():
+    knots = build_nonuniform_grid([mp.mpf(1), mp.mpf(2)], CTX34)
+    table = build_grid_table(F(1, 2), 4, CTX34)
+    for run in (
+        lambda: eval_nonuniform(-1, knots, "1.5", CTX34),
+        lambda: GridApproximant(65, table).value(1, CTX34),
+    ):
+        with pytest.raises(ValueError, match=r"interval spline order must be in 0\.\.64"):
+            run()
+
+
 def test_table_columns_positive_decreasing():
     t = build_grid_table(F(1, 2), 12, CTX34)
     for k in range(1, 12):

@@ -113,6 +113,12 @@ def test_interval_spline_keeps_digits_at_large_alpha(n, alpha, x):
         assert abs(v34 - v70) <= mp.mpf("1e-40") * abs(v70)
 
 
+@pytest.mark.parametrize("n", [-1, 65])
+def test_interval_spline_rejects_orders_outside_the_rule(n):
+    with pytest.raises(ValueError, match=r"interval spline order must be in 0\.\.64, got %d" % n):
+        build_interval_spline(n, 0)
+
+
 def test_interval_spline_empty_interval():
     iv = build_interval_spline(0, F(1, 2))
     with CTX34.workdps():

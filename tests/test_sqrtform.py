@@ -5,16 +5,14 @@ import pytest
 
 from erfkit.exact import PolyExpSum, RationalPolynomial
 from erfkit.oracle import CTX34, erf_ref
-from erfkit.spline import build_spline
 from erfkit.sqrtform import (
-    alpha_coeffs,
-    beta_coeffs,
     build_sqrt,
     complementary_demarcation,
     pi_constant_sequence,
     sqrt_transform,
 )
 from erfkit.subinterval import build_subinterval
+from sqrt_recurrences import recurrence_sqrt
 
 # pi-scaled radicand fixtures from the printed order-0..4 forms (the order-4
 # bracket prints a second x^6 power where the generator yields x^8; generated
@@ -70,21 +68,17 @@ def test_pi_sequence_converges():
 
 def test_alpha_beta_structure():
     for n in (2, 5, 8, 9):
-        alpha = alpha_coeffs(n)
-        beta = beta_coeffs(n)
-        m = n if n % 2 == 0 else n - 1
-        assert len(alpha) == m + 1
-        assert len(beta) == 2 * n + 1
-        assert all(alpha[i] == 0 for i in range(1, len(alpha), 2))
-        assert all(beta[i] == 0 for i in range(1, len(beta), 2))
+        (r1, alpha), (r2, beta) = build_sqrt(n).terms
+        assert (r1, r2) == (1, 2)
+        assert alpha.degree == (n if n % 2 == 0 else n - 1)
+        assert beta.degree == 2 * n
+        assert alpha.is_even_poly() and beta.is_even_poly()
 
 
-@pytest.mark.parametrize("n", range(25))
+@pytest.mark.parametrize("n", range(41))
 def test_recurrences_match_integration_transform(n):
-    a = build_sqrt(n)
-    b = sqrt_transform(build_spline(n).form, n)
-    assert a.q0 == b.q0
-    assert PolyExpSum(a.terms) == PolyExpSum(b.terms)
+    # the alpha/beta recurrences are the independent route to the transform of f_n
+    assert build_sqrt(n) == recurrence_sqrt(n)
 
 
 def test_radicand_vanishes_at_zero_exactly():

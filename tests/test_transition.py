@@ -239,6 +239,25 @@ def test_reference_grid_shares_equal_endpoints():
     assert len(_REF_GRID_CACHE) == size + 1
 
 
+@pytest.mark.parametrize(
+    "interval, n_points",
+    [((1, 0), 3), ((2, 2), 10), ((-1, 1), 4), ((0, 1), 1), ((0, 1), 0)],
+    ids=["reversed", "empty", "negative-a", "one-point", "no-points"],
+)
+def test_bad_grids_are_value_errors(interval, n_points):
+    # each of these puts a point on x = 0 or is no interval of at least 2 points
+    size = len(_REF_GRID_CACHE)
+    inner = build_spline(2)
+    for run in (
+        lambda: reference_grid(interval, n_points, CTX34),
+        lambda: sweep(inner, interval, n_points, CTX34),
+        lambda: optimize_transition(inner, interval, n_points, CTX34),
+    ):
+        with pytest.raises(ValueError, match="0 <= a < b and at least 2 points"):
+            run()
+    assert len(_REF_GRID_CACHE) == size
+
+
 @pytest.mark.parametrize("which", ["chu", "neuman", "yang"])
 @pytest.mark.parametrize("x", [mp.nan, mp.inf, -mp.inf], ids=["nan", "inf", "-inf"])
 def test_published_bounds_reject_nonfinite(which, x):
