@@ -2,8 +2,11 @@
 
 All coefficient generation happens in Fraction arithmetic so the very large
 table denominators (1e13 and beyond) are produced, not transcribed. Floating
-point enters only through ``eval_mpf``, which rounds each coefficient once at
-the active mpmath precision and evaluates in Horner form.
+point enters only through evaluation: each polynomial's ``plan`` rounds its
+coefficients once per binary precision, and one Horner kernel (``horner``)
+evaluates every polynomial and poly-exp sum on Python-int (mantissa,
+exponent) pairs. It rounds the same operations in the same order as the mpf
+Horner loop it replaced, so every value is that loop's value bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -52,14 +56,14 @@ class RationalPolynomial:
     degree -1. Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("coeffs", "_eval_cache")
+    __slots__ = ("coeffs", "_plans")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._eval_cache = {}
+        self._plans = {}
 
     @property
     def degree(self) -> int:
@@ -150,38 +154,151 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_mpf(self, x):
-        """Horner evaluation at the current mpmath precision.
+    def plan(self, prec: int) -> tuple:
+        """(mode, coefficients) for ``horner`` at binary precision prec, built once per precision.
 
         Parity-pure polynomials (the normal case here) are evaluated in
-        u = x^2 to halve the multiply count. Rounded coefficient vectors are
-        cached per binary precision.
+        u = x^2 to halve the multiply count: mode "odd" keeps the odd
+        coefficients (the sum is then multiplied by x), "even" the even ones,
+        "dense" all of them. Each coefficient is rounded once at prec and
+        stored top first as (signed mantissa, exponent, exponent + bit count);
+        a zero coefficient is (0, 0, 0).
         """
-        if not self.coeffs:
-            return mp.mpf(0)
-        prec = mp.mp.prec
-        cached = self._eval_cache.get(prec)
+        cached = self._plans.get(prec)
         if cached is None:
-            vals = tuple(fraction_to_mpf(c) for c in self.coeffs)
-            if self.is_odd_poly():
-                cached = ("odd", vals[1::2])
+            with mp.workprec(prec):
+                parts = [fraction_to_mpf(c)._mpf_ for c in self.coeffs]
+            coeffs = tuple((-m if s else m, e, e + bc) for s, m, e, bc in reversed(parts))
+            if self.is_odd_poly():  # the degree is odd, so the top is the first odd power
+                cached = ("odd", coeffs[::2])
             elif self.is_even_poly():
-                cached = ("even", vals[0::2])
+                cached = ("even", coeffs[::2])
             else:
-                cached = ("dense", vals)
-            self._eval_cache[prec] = cached
-        mode, data = cached
-        x = mp.mpf(x)
-        if mode == "dense":
-            acc = mp.mpf(0)
-            for c in reversed(data):
-                acc = acc * x + c
-            return acc
-        u = x * x
-        acc = mp.mpf(0)
-        for c in reversed(data):
-            acc = acc * u + c
-        return acc if mode == "even" else acc * x
+                cached = ("dense", coeffs)
+            self._plans[prec] = cached
+        return cached
+
+    def eval_mpf(self, x):
+        """Horner evaluation at the current mpmath precision (see ``eval_polys``)."""
+        return eval_polys((self,), x)[0]
+
+
+def _rounded(m: int, e: int, prec: int) -> tuple:
+    """m * 2^e (m signed) rounded once to prec bits, half to even; trailing zeros are kept."""
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or t << (n - 1) != m) else t >> 1
+        e += n
+    return m, e
+
+
+def _sum(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
+    """a + b rounded once to prec bits, for a and b of at most prec significant bits.
+
+    An addend more than prec + 4 bits below the other lies inside half an
+    ulp of it, so the rounded sum is the larger addend itself (what the
+    sticky bit of ``mpf_add`` and ``erf_ref`` rounds back to); no shift
+    grows with the exponent gap.
+    """
+    if not bm:
+        return am, ae
+    if not am:
+        return bm, be
+    gap = ae + am.bit_length() - be - bm.bit_length()
+    if gap > prec + 4:
+        return am, ae
+    if gap < -prec - 4:
+        return bm, be
+    if ae > be:
+        return _rounded((am << (ae - be)) + bm, be, prec)
+    return _rounded(am + (bm << (be - ae)), ae, prec)
+
+
+def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
+    """acc = acc * t + c over a plan's coefficients (top first), on Python ints.
+
+    t = tm * 2^te. Each product and each sum is rounded once to prec bits,
+    half to even, exactly as ``mpf_mul`` and ``mpf_add`` round at
+    ``round_nearest``, so the result is the mpf Horner loop's value bit for
+    bit. Mantissas are signed and not normalised; a zero coefficient skips
+    its add (adding 0 returns the rounded product unchanged). Returns
+    (mantissa, exponent); the top coefficient must be nonzero. ``_rounded``
+    and ``_sum`` are written out inline: this loop is the evaluation hot path.
+    """
+    it = iter(coeffs)
+    m, e, _ = next(it)
+    margin = prec + 4
+    for cm, ce, ctop in it:
+        m *= tm
+        e += te
+        bc = m.bit_length()
+        if bc > prec:
+            n = bc - prec
+            t = m >> (n - 1)
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or t << (n - 1) != m) else t >> 1
+            e += n
+            bc = prec  # a round-up to 2^prec is one bit more, still inside the margin
+        if not cm:
+            continue
+        if not m:
+            m, e = cm, ce
+            continue
+        gap = e + bc - ctop  # see _sum: the smaller addend cannot move the rounded sum
+        if gap > margin:
+            continue
+        if gap < -margin:
+            m, e = cm, ce
+            continue
+        if e > ce:
+            m = (m << (e - ce)) + cm
+            e = ce
+        else:
+            m += cm << (ce - e)
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or t << (n - 1) != m) else t >> 1
+            e += n
+    return m, e
+
+
+def _finite_parts(x) -> tuple:
+    """(signed mantissa, exponent) of an mpf; NaN and infinities raise ValueError."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError("expected a finite number, got %r" % x)
+    return (-man if sign else man), exp
+
+
+def _plan_at(plan: tuple, xm: int, xe: int, u: tuple, prec: int) -> tuple:
+    """(mantissa, exponent) of a planned polynomial at x = xm * 2^xe, with u = x*x rounded."""
+    mode, coeffs = plan
+    if not coeffs:
+        return 0, 0
+    if mode == "dense":
+        return horner(coeffs, xm, xe, prec)
+    m, e = horner(coeffs, u[1], u[2], prec)
+    return _rounded(m * xm, e + xe, prec) if mode == "odd" else (m, e)
+
+
+def eval_polys(polys, x) -> tuple:
+    """Values of several polynomials at one x at the current mpmath precision.
+
+    x is converted by mp.mpf and u = x*x is rounded once and shared. Each
+    value is that of the mpf Horner loop acc = acc*u + c (times x for odd
+    polynomials, in x itself for mixed parity) from acc = 0, bit for bit.
+    """
+    x = mp.mpf(x)
+    prec = mp.mp.prec
+    xm, xe = _finite_parts(x)
+    u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
+    return tuple(_to_mpf(_plan_at(p.plan(prec), xm, xe, u, prec), prec) for p in polys)
+
+
+def _to_mpf(parts: tuple, prec: int):
+    """The mpf of a kernel result (mantissa, exponent), normalised; it already fits in prec bits."""
+    return mp.make_mpf(from_man_exp(parts[0], parts[1], prec, round_nearest))
 
 
 ZERO_POLY = RationalPolynomial()
@@ -196,7 +313,7 @@ class PolyExpSum:
     applied by callers at evaluation time.
     """
 
-    __slots__ = ("terms", "_rate_cache")
+    __slots__ = ("terms", "_plans")
 
     def __init__(self, terms=()):
         acc = {}
@@ -211,7 +328,7 @@ class PolyExpSum:
             acc[rate] = acc[rate] + poly if rate in acc else poly
         items = sorted(((r, p) for r, p in acc.items() if p), key=lambda t: t[0])
         self.terms = tuple(items)
-        self._rate_cache = {}
+        self._plans = {}
 
     @property
     def rates(self):
@@ -258,20 +375,63 @@ class PolyExpSum:
             out.append((r, dp))
         return PolyExpSum(out)
 
-    def eval_raw(self, x):
-        """Evaluate the stored sum (no prefactor) at current precision."""
-        x = mp.mpf(x)
+    def plan(self, prec: int) -> tuple:
+        """((-k rounded at prec, or None for k = 0), polynomial plan) per term, once per precision."""
+        cached = self._plans.get(prec)
+        if cached is None:
+            with mp.workprec(prec):
+                cached = tuple(
+                    ((-fraction_to_mpf(r))._mpf_ if r else None, p.plan(prec)) for r, p in self.terms
+                )
+            self._plans[prec] = cached
+        return cached
+
+    def _sum_at(self, x, plans) -> tuple:
+        """(mantissa, exponent) of sum_i P_i(x) e^(-k_i u) for per-term polynomial plans.
+
+        u = x*x is rounded once; each e^(-k u) is ``mpf_exp`` of the rounded
+        product -k*u (what mp.exp(-k*u) computes); every product and the
+        running sum are rounded as the mpf loop rounds them.
+        """
         prec = mp.mp.prec
-        rates = self._rate_cache.get(prec)
-        if rates is None:
-            rates = tuple(fraction_to_mpf(r) for r, _ in self.terms)
-            self._rate_cache[prec] = rates
-        u = x * x
-        acc = mp.mpf(0)
-        for rv, (r, p) in zip(rates, self.terms):
-            pv = p.eval_mpf(x)
-            acc += pv if not r else pv * mp.exp(-rv * u)
-        return acc
+        xm, xe = _finite_parts(x)
+        u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
+        am = ae = 0
+        for negk, plan in plans:
+            m, e = _plan_at(plan, xm, xe, u, prec)
+            if negk is not None and m:
+                _, em, ee, _ = mpf_exp(mpf_mul(negk, u, prec, round_nearest), prec, round_nearest)
+                m, e = _rounded(m * em, e + ee, prec)
+            am, ae = _sum(am, ae, m, e, prec)
+        return am, ae
+
+    def eval_raw(self, x):
+        """Evaluate the stored sum (no prefactor) at current precision.
+
+        Bit for bit the mpf loop acc += p_i(x) * mp.exp(-k_i * u) from acc = 0,
+        with each p_i(x) as ``RationalPolynomial.eval_mpf`` gives it.
+        """
+        prec = mp.mp.prec
+        return _to_mpf(self._sum_at(mp.mpf(x), self.plan(prec)), prec)
+
+    def cancellation_digits(self, x):
+        """Decimal digits the sum loses to cancellation at x: log10(sum_i |p_i|(|x|) e^(-k_i x^2) / |value|).
+
+        The absolute sum runs through the same kernel with every coefficient
+        replaced by its magnitude. A diagnostic: evaluation never calls it.
+        0 where both sums are 0; infinite where only the value is.
+        """
+        x = abs(mp.mpf(x))
+        prec = mp.mp.prec
+        absolute = tuple(
+            (negk, (mode, tuple((abs(m), e, top) for m, e, top in coeffs)))
+            for negk, (mode, coeffs) in self.plan(prec)
+        )
+        bound = _to_mpf(self._sum_at(x, absolute), prec)
+        value = abs(self.eval_raw(x))
+        if not bound:
+            return mp.mpf(0)
+        return mp.log10(bound / value) if value else mp.inf
 
 
 def integrate_odd(s: PolyExpSum) -> PolyExpSum:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import PolyExpSum, RationalPolynomial, as_mpf, spline_coeff
+from .exact import PolyExpSum, RationalPolynomial, as_mpf, eval_polys, spline_coeff
 from .oracle import CTX34, PrecisionContext
 from .spline import (
     PolyExpApproximant,
@@ -36,8 +36,8 @@ class RationalFunctionApproximant:
 
     def value(self, x, ctx: PrecisionContext = CTX34):
         with ctx.workdps():
-            xm = as_mpf(x)
-            return self.numerator.eval_mpf(xm) / self.denominator.eval_mpf(xm)
+            num, den = eval_polys((self.numerator, self.denominator), as_mpf(x))
+            return num / den
 
 
 def gauss_g_parts(n: int) -> tuple:

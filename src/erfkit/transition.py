@@ -4,12 +4,13 @@ Sweeps use the deterministic grid x_i = a + i(b-a)/N for i = 1..N; the left
 endpoint is excluded so x = 0 (where every approximant and erf both vanish)
 never reaches the relative-error quotient. Reference values are cached per
 (interval, N, digits) because table reproduction reuses the same grids many
-times.
+times; the cache keeps the most recently used grids up to a total point count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,13 @@ from .exact import PolyExpSum, RationalPolynomial, as_mpf, mpf_to_fraction
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
 
-_REF_GRID_CACHE: dict = {}
+# Cached grids, least recently used first: key -> (xs, refs). At most
+# _REF_GRID_CACHE_POINTS points in all (about 500 bytes each at 34-70 digits,
+# so 50 MB). One table holds at most 23,000 (Table 10), the certify-warm
+# benchmark's three shared grids at most 706, and the whole test suite, every
+# table in one process, 99,215.
+_REF_GRID_CACHE: OrderedDict = OrderedDict()
+_REF_GRID_CACHE_POINTS = 100_000
 
 
 def grid_points(interval, n_points: int):
@@ -36,20 +43,29 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     """Grid points and cached erf references for a sweep specification.
 
     Keyed by the endpoints as mpf at the working precision, the exact values
-    the grid is computed from. A grid needs 0 <= a < b and N >= 2, so that no
-    point lands on x = 0; anything else is a ValueError.
+    the grid is computed from. A hit becomes the most recently used grid; a
+    new grid evicts the least recently used ones beyond the point cap. A
+    grid needs 0 <= a < b and N >= 2, so that no point lands on x = 0;
+    anything else is a ValueError.
     """
     with ctx.workdps():
         key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
         hit = _REF_GRID_CACHE.get(key)
-        if hit is None:
-            if not 0 <= key[0] < key[1] or n_points < 2:
-                raise ValueError(
-                    "a sweep grid needs 0 <= a < b and at least 2 points, got (%s, %s] with %d"
-                    % (interval[0], interval[1], n_points)
-                )
-            xs = tuple(grid_points(interval, n_points))
-            hit = _REF_GRID_CACHE[key] = (xs, tuple(erf_ref(x, ctx) for x in xs))
+        if hit is not None:
+            _REF_GRID_CACHE.move_to_end(key)
+            return hit
+        if not 0 <= key[0] < key[1] or n_points < 2:
+            raise ValueError(
+                "a sweep grid needs 0 <= a < b and at least 2 points, got (%s, %s] with %d"
+                % (interval[0], interval[1], n_points)
+            )
+        xs = tuple(grid_points(interval, n_points))
+        hit = (xs, tuple(erf_ref(x, ctx) for x in xs))
+    if n_points <= _REF_GRID_CACHE_POINTS:  # a larger grid is returned, not kept
+        _REF_GRID_CACHE[key] = hit
+        total = sum(len(cached) for cached, _ in _REF_GRID_CACHE.values())
+        while total > _REF_GRID_CACHE_POINTS:
+            total -= len(_REF_GRID_CACHE.popitem(last=False)[1][0])
     return hit
 
 

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from collections import OrderedDict
+
+from erfkit import transition
 from erfkit.exact import RationalPolynomial
 from erfkit.oracle import CTX34, erf_ref, sqrt_pi
 from erfkit.spline import build_spline
 from erfkit.transition import (
-    _REF_GRID_CACHE,
     EnvelopePair,
     PiecewiseApproximant,
     envelope,
@@ -231,12 +233,44 @@ def test_reference_grid_tells_close_endpoints_apart():
         assert sweep(build_spline(2), (0, b2), 41, CTX34).xs[-1] == xs2[-1]
 
 
-def test_reference_grid_shares_equal_endpoints():
-    size = len(_REF_GRID_CACHE)
+@pytest.fixture
+def grid_cache(monkeypatch):
+    """An empty reference-grid cache for one test, restored afterwards."""
+    monkeypatch.setattr(transition, "_REF_GRID_CACHE", OrderedDict())
+    return transition._REF_GRID_CACHE
+
+
+def cached_points(cache):
+    return sum(len(xs) for xs, _ in cache.values())
+
+
+def test_reference_grid_shares_equal_endpoints(grid_cache):
     first = reference_grid((0, 0.5), 43, CTX34)
     assert reference_grid((0, F(1, 2)), 43, CTX34) is first
     assert reference_grid((F(0), "0.5"), 43, CTX34) is first
-    assert len(_REF_GRID_CACHE) == size + 1
+    assert len(grid_cache) == 1 and cached_points(grid_cache) == 43
+
+
+def test_reference_grid_cache_evicts_least_recently_used(grid_cache, monkeypatch):
+    monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
+    a = reference_grid((0, 1), 40, CTX34)
+    b = reference_grid((0, 2), 40, CTX34)
+    assert reference_grid((0, 1), 40, CTX34) is a  # a hit makes (0,1] the most recent
+    c = reference_grid((0, 3), 40, CTX34)
+    assert list(grid_cache.values()) == [a, c]  # 120 points: (0,2] went first
+    assert cached_points(grid_cache) == 80
+    assert reference_grid((0, 2), 40, CTX34) is not b  # recomputed, equal, evicting (0,1]
+    assert reference_grid((0, 2), 40, CTX34) == b
+    assert list(grid_cache.values()) == [c, reference_grid((0, 2), 40, CTX34)]
+    assert reference_grid((0, 3), 40, CTX34) is c
+
+
+def test_grid_above_the_cap_is_returned_not_kept(grid_cache, monkeypatch):
+    monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
+    small = reference_grid((0, 1), 30, CTX34)
+    xs, refs = reference_grid((0, 1), 101, CTX34)
+    assert len(xs) == len(refs) == 101
+    assert list(grid_cache.values()) == [small]
 
 
 @pytest.mark.parametrize(
@@ -244,9 +278,9 @@ def test_reference_grid_shares_equal_endpoints():
     [((1, 0), 3), ((2, 2), 10), ((-1, 1), 4), ((0, 1), 1), ((0, 1), 0)],
     ids=["reversed", "empty", "negative-a", "one-point", "no-points"],
 )
-def test_bad_grids_are_value_errors(interval, n_points):
+def test_bad_grids_are_value_errors(interval, n_points, grid_cache):
     # each of these puts a point on x = 0 or is no interval of at least 2 points
-    size = len(_REF_GRID_CACHE)
+    reference_grid((0, 1), 7, CTX34)
     inner = build_spline(2)
     for run in (
         lambda: reference_grid(interval, n_points, CTX34),
@@ -255,7 +289,7 @@ def test_bad_grids_are_value_errors(interval, n_points):
     ):
         with pytest.raises(ValueError, match="0 <= a < b and at least 2 points"):
             run()
-    assert len(_REF_GRID_CACHE) == size
+    assert len(grid_cache) == 1 and cached_points(grid_cache) == 7
 
 
 @pytest.mark.parametrize("which", ["chu", "neuman", "yang"])
