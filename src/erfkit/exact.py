@@ -7,6 +7,8 @@ coefficients once per binary precision, and one Horner kernel (``horner``)
 evaluates every polynomial and poly-exp sum on Python-int (mantissa,
 exponent) pairs. It rounds the same operations in the same order as the mpf
 Horner loop it replaced, so every value is that loop's value bit for bit.
+``_rounded`` and ``_sum`` are the one rounding rule (half to even, as mpf
+arithmetic rounds): the kernel and the erf oracle's series both use it.
 """
 
 from __future__ import annotations
@@ -198,8 +200,8 @@ def _sum(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
 
     An addend more than prec + 4 bits below the other lies inside half an
     ulp of it, so the rounded sum is the larger addend itself (what the
-    sticky bit of ``mpf_add`` and ``erf_ref`` rounds back to); no shift
-    grows with the exponent gap.
+    sticky bit of ``mpf_add`` rounds back to); no shift grows with the
+    exponent gap.
     """
     if not bm:
         return am, ae
@@ -490,26 +492,6 @@ def hermite_table(max_order: int) -> tuple:
         prev = _hermite_rows[-1]
         _hermite_rows.append(prev.derivative() - 2 * (X_POLY * prev))
     return tuple(_hermite_rows[: max_order + 1])
-
-
-def hermite_explicit(k: int) -> RationalPolynomial:
-    """Closed-form row: sum_i (-1)^(i+k) k!/(i!(k-2i)!) 2^(k-2i) x^(k-2i)."""
-    coeffs = [Fraction(0)] * (k + 1)
-    for i in range(k // 2 + 1):
-        power = k - 2 * i
-        coeffs[power] = Fraction(
-            (-1) ** (i + k) * math.factorial(k) * 2**power,
-            math.factorial(i) * math.factorial(power),
-        )
-    return RationalPolynomial(coeffs)
-
-
-def hermite_at_zero(k: int) -> Fraction:
-    """p(k,0): zero for odd k, (-1)^j (2j)!/j! for k = 2j."""
-    if k % 2:
-        return Fraction(0)
-    j = k // 2
-    return Fraction((-1) ** j * math.factorial(2 * j), math.factorial(j))
 
 
 def hermite_values_mpf(order: int, x):

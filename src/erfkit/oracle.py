@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
 
-from .exact import as_mpf
+from .exact import _rounded, _sum, _to_mpf, as_mpf
 
 GUARD_DIGITS = 10  # extra decimal digits every intermediate sum carries
 
@@ -89,9 +88,10 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
 
     The sum runs on Python ints: t = 2x^2, ratio, term, total and eps*total
     are (mantissa, exponent) pairs, each operation is rounded once to
-    mp.prec bits, half to even, by ``from_man_exp``, and both comparisons
-    are exact. mpf arithmetic rounds the same operations the same way, so
-    the result is bit for bit that of the same loop written on mpf values.
+    mp.prec bits, half to even, by ``exact._rounded`` and ``exact._sum``
+    (the rounding rule of the Horner kernel), and both comparisons are
+    exact. mpf arithmetic rounds the same operations the same way, so the
+    result is bit for bit that of the same loop written on mpf values.
     """
     with ctx.workdps():
         xm = as_mpf(x)
@@ -102,8 +102,8 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
         prec = mp.mp.prec
         _, em, ee, _ = _series_eps(ctx.total_digits)._mpf_
         _, tm, te, tbc = (2 * xm * xm)._mpf_
-        _, sm, se, sbc = xm._mpf_  # term
-        total_m, total_e, total_bc = sm, se, sbc
+        _, sm, se, _ = xm._mpf_  # term
+        total_m, total_e = sm, se
         d = 3  # 2n + 3
         while True:
             # ratio = t / d: a quotient of >= prec + 3 bits plus a sticky bit
@@ -112,29 +112,19 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
             if r:
                 q = (q << 1) | 1
                 k += 1
-            _, ratio_m, ratio_e, ratio_bc = from_man_exp(q, te - k, prec, round_nearest)
-            _, sm, se, sbc = from_man_exp(sm * ratio_m, se + ratio_e, prec, round_nearest)
+            ratio_m, ratio_e = _rounded(q, te - k, prec)
+            sm, se = _rounded(sm * ratio_m, se + ratio_e, prec)
             assert sm > 0, "oracle series terms must stay positive"
-            # total += term; a term more than prec + 4 bits below the total
-            # only perturbs it, so a sticky bit stands in for it
-            off = total_e - se
-            if total_bc + total_e - sbc - se > prec + 4:
-                man, exp = (total_m << (prec + 4)) | 1, total_e - prec - 4
-            elif off >= 0:
-                man, exp = (total_m << off) + sm, se
-            else:
-                man, exp = total_m + (sm << -off), total_e
-            _, total_m, total_e, total_bc = from_man_exp(man, exp, prec, round_nearest)
+            total_m, total_e = _sum(total_m, total_e, sm, se, prec)
             d += 2
-            if ratio_bc + ratio_e < 0:  # ratio < 1/2
-                _, pm, pe, pbc = from_man_exp(em * total_m, ee + total_e, prec, round_nearest)
-                top, ptop = sbc + se, pbc + pe  # term < eps*total, exactly
+            if ratio_m.bit_length() + ratio_e < 0:  # ratio < 1/2
+                pm, pe = _rounded(em * total_m, ee + total_e, prec)
+                top, ptop = sm.bit_length() + se, pm.bit_length() + pe  # term < eps*total, exactly
                 if top < ptop or top == ptop and (
                     sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se)
                 ):
                     break
-        total = mp.make_mpf((0, total_m, total_e, total_bc))
-        return 2 * mp.exp(-xm * xm) * total / sqrt_pi()
+        return 2 * mp.exp(-xm * xm) * _to_mpf((total_m, total_e), prec) / sqrt_pi()
 
 
 def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):

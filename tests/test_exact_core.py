@@ -6,8 +6,6 @@ import pytest
 from erfkit.exact import (
     PolyExpSum,
     RationalPolynomial,
-    hermite_at_zero,
-    hermite_explicit,
     hermite_table,
     hermite_values_mpf,
     integrate_odd,
@@ -15,6 +13,7 @@ from erfkit.exact import (
     spline_coeff,
 )
 from erfkit.spline import spline_form
+from hermite_reference import hermite_at_zero, hermite_explicit
 
 import mpmath as mp
 

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 import horner_reference as ref
 from erfkit import gauss
-from erfkit.exact import PolyExpSum, RationalPolynomial, as_mpf, eval_polys
+from erfkit.exact import PolyExpSum, RationalPolynomial, _rounded, _sum, as_mpf, eval_polys
 from erfkit.gauss import build_erf_series, build_gauss_g, build_gauss_h
 from erfkit.oracle import CTX34, CTX70, PrecisionContext
 from erfkit.spline import build_spline
@@ -108,6 +109,59 @@ def test_kernel_values_pinned_bit_for_bit(ctx):
     for v in values:
         digest.update(b"%d %d %d %d\n" % v._mpf_)
     assert digest.hexdigest() == HORNER_VALUE_PINS[CTX_IDS[CTXS.index(ctx)]]
+
+
+def _normal(m, e):
+    """m * 2^e as libmp stores it: (sign, odd mantissa, exponent, bit count), or fzero."""
+    if not m:
+        return fzero
+    sign, m = int(m < 0), abs(m)
+    zeros = (m & -m).bit_length() - 1
+    return sign, m >> zeros, e + zeros, (m >> zeros).bit_length()
+
+
+@pytest.mark.parametrize("prec", [8, 53, 113, 233])
+def test_rounding_primitives_match_libmp(prec):
+    # the one rounding rule of the kernel and the oracle, against libmp at round_nearest
+    half = 1 << (prec - 1)  # the smallest prec-bit mantissa
+    top = 2 * half - 1  # the largest
+    cases = {
+        "tie kept even": (2 * (half + 2) + 1, (half + 2, 1)),
+        "tie from odd": (2 * (half + 1) + 1, (half + 2, 1)),
+        "tie below zero": (-(2 * (half + 1) + 1), (-(half + 2), 1)),
+        "tie plus sticky": (((2 * (half + 2) + 1) << 6) | 1, (half + 3, 7)),
+        "carry to 2^prec": (2 * top + 1, (2 * half, 1)),
+        "exact": (half << 3, (half, 3)),
+    }
+    for label, (m, expected) in cases.items():
+        assert _rounded(m, 0, prec) == expected, label
+        for e in (-prec, 0, 7):
+            assert _normal(*_rounded(m, e, prec)) == from_man_exp(m, e, prec, round_nearest), label
+    for a in (half + 1, half + 3, top, -top):
+        for b in (3, 5, half + 1, top):  # 3 * (half + 1) and 3 * (half + 3) are ties
+            expected = mpf_mul(from_man_exp(a, -4), from_man_exp(b, 9), prec, round_nearest)
+            assert _normal(*_rounded(a * b, 5, prec)) == expected, (a, b)
+    pairs = [
+        ((top, 0), (1, -1)),  # a tie that carries to 2^prec
+        ((half + 1, 0), (1, -1)),  # a tie from an odd mantissa
+        ((half + 2, 0), (1, -1)),  # a tie kept even
+        ((half + 2, 0), (3, -2)),  # a tie plus a sticky bit
+        ((half + 2, 0), (-(half + 2), 0)),  # exact cancellation to 0
+        ((0, 0), (half + 3, -5)),
+        ((-top, 4), (0, 0)),
+        ((0, 0), (0, 0)),
+    ]
+    # the top of b lies gap bits below the top of a: _sum's cut-off is prec + 4,
+    # and at prec + 1 a power of two minus b can round into the binade below
+    for gap in (prec + 1, prec + 4, prec + 5):
+        for am in (half, half + 1, top, -half):
+            for bm in (1, 3, -1, -top, half):
+                pairs.append(((am, 0), (bm, prec - gap - bm.bit_length())))
+    for a, b in pairs:
+        # the inputs have at most prec bits, so from_man_exp without prec is exact
+        expected = mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
+        assert _normal(*_sum(*a, *b, prec)) == expected, (a, b)
+        assert _normal(*_sum(*b, *a, prec)) == expected, (b, a)
 
 
 EDGE_POLYS = {

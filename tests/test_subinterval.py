@@ -3,11 +3,12 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from erfkit.exact import PolyExpSum, RationalPolynomial, hermite_explicit, spline_coeff
+from erfkit.exact import PolyExpSum, RationalPolynomial, spline_coeff
 from erfkit.oracle import CTX34
 from erfkit.spline import build_interval_spline, build_spline
 from erfkit.subinterval import build_subinterval
 from erfkit.transition import optimize_transition
+from hermite_reference import hermite_explicit
 
 
 def per_cell_form(n, m):
