@@ -11,13 +11,7 @@ from .exact import (
     spline_coeff,
 )
 from .gauss import build_erf_series, build_gauss_g, build_gauss_h
-from .grids import (
-    GridApproximant,
-    build_grid_table,
-    build_nonuniform_grid,
-    eval_nonuniform,
-    floor_cells,
-)
+from .grids import GridApproximant, build_grid_table, build_nonuniform_grid
 from .oracle import CTX34, CTX70, PrecisionContext, bessel_i, erf_ref
 from .spline import (
     build_interval_spline,

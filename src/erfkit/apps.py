@@ -200,6 +200,11 @@ class FilterModel:
     gamma: object
     f_p: object
 
+    def __post_init__(self):
+        for name, value in (("gamma", self.gamma), ("f_p", self.f_p)):
+            if not as_mpf(value) > 0:  # as_mpf rejects NaN and infinities
+                raise ValueError("filter %s must be positive, got %s" % (name, value))
+
     def tau(self):
         return 1 / (2 * mp.pi * as_mpf(self.f_p))
 

@@ -235,8 +235,8 @@ def cmd_sweep(args) -> int:
             try:
                 x_o = as_mpf(args.transition)
             except ValueError as exc:
-                msg = "erfkit sweep: --transition must be auto, none or a finite number"
-                raise SystemExit("%s, got %r" % (msg, args.transition)) from exc
+                msg = "--transition must be auto, none or a finite number, got %r"
+                raise ValueError(msg % args.transition) from exc
         approx = PiecewiseApproximant(approx, x_o)
     report = run_sweep(approx, interval, args.points, ctx)
     out, close = _open_out(args.out)
@@ -287,6 +287,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_apps(args) -> int:
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1, got %d" % args.steps)
+    model = FilterModel(args.gamma, args.pole_freq) if args.app == "filter" else None
     ctx = PrecisionContext(args.digits)
     out, close = _open_out(args.out)
     writer = csv.writer(out)
@@ -322,7 +325,6 @@ def cmd_apps(args) -> int:
                     )
                 writer.writerow(row)
     elif args.app == "filter":
-        model = FilterModel(args.gamma, args.pole_freq)
         t0, t1 = args.t_range or (Fraction(0), Fraction(3))
         steps = args.steps
         approx = None

@@ -1,18 +1,19 @@
-"""Dynamic-constant-plus-spline approximants on rational-resolution grids.
+"""Dynamic-constant-plus-spline approximants on tables of exact knots.
 
-A table of exact erf increments c_k = erf(k*delta) - erf((k-1)*delta) covers
-[0, k_max*delta]; a cell adds the order-n ``spline.IntervalSpline`` from its
-exact knot delta*floor(x/delta) to x, and non-uniform knots use the same rule
-at the knot's exact dyadic value. Cell classification is exact: the mpf
-argument is converted to its dyadic rational and compared against rational
-multiples of delta, so boundary points land in the right cell with offset
-exactly 0 and nearly-boundary points are never snapped.
+A table holds exact knots 0 = x_0 < x_1 < ... < x_m, either k*delta for a
+rational resolution delta or given, and the erf increments
+c_k = erf(x_k) - erf(x_{k-1}). ``GridApproximant`` adds the order-n
+``spline.IntervalSpline`` from the largest knot x_k <= x to the tabulated
+erf(x_k). Cell classification is exact: the mpf argument is converted to its
+dyadic rational and compared against the exact knots, so boundary points land
+in the right cell with offset exactly 0 and nearly-boundary points are never
+snapped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,58 +23,62 @@ from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref
 from .spline import IntervalSpline, check_order
 
 
-def floor_cells(x, delta) -> tuple:
-    """(index, offset) with index = floor(x/delta) computed exactly, offset = x - delta*index."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("resolution must be positive")
-    xm = as_mpf(x)
-    if xm < 0:
-        raise ValueError("floor_cells requires x >= 0")
-    index = int(mpf_to_fraction(xm) / delta)
-    offset = xm - fraction_to_mpf(delta * index)
-    return index, offset
-
-
 @dataclass(frozen=True)
 class GridTable:
-    """erf increments on the uniform grid {delta, 2*delta, ...} at a set precision."""
+    """erf at exact knots, k*delta (uniform) or given, at a set precision."""
 
-    resolution: Fraction
-    c: tuple  # c[k], c[0] = 0
-    partial: tuple  # partial[k] = sum_{j<=k} c[j] = erf(k*delta)
-    saturated: bool  # increments below table precision past the last entry
+    knots: tuple  # exact Fractions, knots[0] = 0
+    resolution: Fraction | None  # delta for knots k*delta, None for given knots
+    c: tuple  # c[k] = erf(knots[k]) - erf(knots[k-1]), c[0] = 0
+    partial: tuple  # partial[k] = sum_{j<=k} c[j] = erf(knots[k])
+    saturated: bool  # uniform increments below table precision past the last entry
 
     @property
     def k_max(self) -> int:
         return len(self.c) - 1
 
 
+def _tabulate(knots, resolution, ctx: PrecisionContext) -> GridTable:
+    """erf at each knot; a uniform table stops at its first increment (k > 1) below precision."""
+    with ctx.workdps():
+        eps = mp.mpf(10) ** (-ctx.total_digits)
+        kept, cs, partial = [Fraction(0)], [mp.mpf(0)], [mp.mpf(0)]
+        saturated = False
+        for knot in knots:
+            cur = erf_ref(fraction_to_mpf(knot), ctx)
+            ck = cur - partial[-1]
+            if resolution is not None and ck < eps and len(cs) > 1:
+                saturated = True
+                break
+            kept.append(knot)
+            cs.append(ck)
+            partial.append(cur)
+    return GridTable(tuple(kept), resolution, tuple(cs), tuple(partial), saturated)
+
+
 def build_grid_table(delta, k_max: int, ctx: PrecisionContext = CTX34) -> GridTable:
-    """Tabulate c_k from the erf oracle; stops early once c_k is below precision."""
+    """Tabulate c_k on knots k*delta, k <= k_max; stops early once c_k is below precision."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("resolution must be positive")
+    return _tabulate((delta * k for k in range(1, k_max + 1)), delta, ctx)
+
+
+def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> GridTable:
+    """Tabulate given knots x_1 < ... < x_m, each rounded at the working precision, kept exactly."""
     with ctx.workdps():
-        eps = mp.mpf(10) ** (-ctx.total_digits)
-        cs = [mp.mpf(0)]
-        partial = [mp.mpf(0)]
-        prev = mp.mpf(0)
-        saturated = False
-        for k in range(1, k_max + 1):
-            cur = erf_ref(fraction_to_mpf(delta * k), ctx)
-            ck = cur - prev
-            if ck < eps and k > 1:
-                saturated = True
-                break
-            cs.append(ck)
-            partial.append(cur)
-            prev = cur
-    return GridTable(delta, tuple(cs), tuple(partial), saturated)
+        ks = [mpf_to_fraction(as_mpf(k)) for k in knots]
+    if any(b <= a for a, b in zip(ks, ks[1:])) or (ks and ks[0] <= 0):
+        raise ValueError("knots must be strictly increasing and positive")
+    return _tabulate(ks, None, ctx)
 
 
 class GridApproximant(OddApproximant):
-    """Tabulated erf at the cell's knot plus the cell's order-n IntervalSpline; valid for covered x."""
+    """Tabulated erf at the cell's knot plus the cell's order-n IntervalSpline.
+
+    Given knots run the spline from the last knot past it; a saturated uniform
+    table keeps adding cells k*delta on erf(last knot); an unsaturated one raises.
+    """
 
     def __init__(self, order: int, table: GridTable):
         self.order = order
@@ -81,20 +86,21 @@ class GridApproximant(OddApproximant):
         self._cells: dict = {}
 
     def positive(self, xm, ctx: PrecisionContext):
-        index, _ = floor_cells(xm, self.table.resolution)
-        if index > self.table.k_max:
-            if not self.table.saturated:
+        table, x = self.table, mpf_to_fraction(xm)
+        if table.resolution is None:
+            index = bisect_right(table.knots, x) - 1
+        else:
+            index = int(x / table.resolution)  # the exact floor: x >= 0
+            if index > table.k_max and not table.saturated:
                 raise ValueError(
                     "x = %s lies beyond the tabulated grid (k_max = %d)"
-                    % (mp.nstr(xm, 8), self.table.k_max)
+                    % (mp.nstr(xm, 8), table.k_max)
                 )
-            base = self.table.partial[-1]
-        else:
-            base = self.table.partial[index]
         cell = self._cells.get(index)
         if cell is None:
-            cell = self._cells[index] = IntervalSpline(self.order, self.table.resolution * index)
-        return base + cell._correction(xm)
+            knot = table.knots[index] if table.resolution is None else table.resolution * index
+            cell = self._cells[index] = IntervalSpline(self.order, knot)
+        return table.partial[min(index, table.k_max)] + cell._correction(xm)
 
 
 def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> GridApproximant:
@@ -105,43 +111,3 @@ def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> Gri
         raise ValueError("resolution must be positive")
     k_max = int(Fraction(interval[1]) / delta) + 2
     return GridApproximant(n, build_grid_table(delta, k_max, ctx))
-
-
-@dataclass(frozen=True)
-class NonUniformGrid:
-    """Monotone knots x_1 < ... < x_m with increments c_k = erf(x_k) - erf(x_{k-1})."""
-
-    knots: tuple  # mpf knots, not including 0
-    c: tuple  # c[k] pairs with knots[k-1]; c[0] = 0
-    partial: tuple
-    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def build_nonuniform_grid(knots, ctx: PrecisionContext = CTX34) -> NonUniformGrid:
-    with ctx.workdps():
-        ks = [as_mpf(k) for k in knots]
-        if any(b <= a for a, b in zip(ks, ks[1:])) or (ks and ks[0] <= 0):
-            raise ValueError("knots must be strictly increasing and positive")
-        cs = [mp.mpf(0)]
-        partial = [mp.mpf(0)]
-        prev = mp.mpf(0)
-        for k in ks:
-            cur = erf_ref(k, ctx)
-            cs.append(cur - prev)
-            partial.append(cur)
-            prev = cur
-    return NonUniformGrid(tuple(ks), tuple(cs), tuple(partial))
-
-
-def eval_nonuniform(n: int, grid: NonUniformGrid, x, ctx: PrecisionContext = CTX34):
-    """Order-n spline from the largest knot x_S <= x; x may exceed the last knot."""
-    with ctx.workdps():
-        xm = as_mpf(x)
-        if xm < 0:
-            return -eval_nonuniform(n, grid, -xm, ctx)
-        idx = bisect_right(grid.knots, xm)
-        cell = grid._cells.get((n, idx))
-        if cell is None:
-            alpha = mpf_to_fraction(grid.knots[idx - 1]) if idx else Fraction(0)
-            cell = grid._cells[n, idx] = IntervalSpline(n, alpha)
-        return grid.partial[idx] + cell._correction(xm)

@@ -162,3 +162,11 @@ def test_filter_approx_order_improves():
 def test_filter_rejects_negative_time():
     with pytest.raises(ValueError):
         filter_response_exact(FilterModel(F(1, 2), 1), -1, CTX34)
+
+
+@pytest.mark.parametrize(
+    "gamma, f_p", [(0, 1), (F(1, 2), 0), (-1, 1), (F(1, 2), F(-2)), (mp.inf, 1), (F(1, 2), mp.nan)]
+)
+def test_filter_model_rejects_nonpositive_or_nonfinite_parameters(gamma, f_p):
+    with pytest.raises(ValueError):
+        FilterModel(gamma, f_p)

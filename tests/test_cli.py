@@ -351,3 +351,23 @@ def test_apps_filter_csv(tmp_path):
     assert len(rows) == 7
     ys = [float(r[1]) for r in rows[1:]]
     assert all(0 < y <= 1 + 1e-12 for y in ys)
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--gamma", "0", "gamma"), ("--pole-freq", "0", "f_p"), ("--gamma", "-1", "gamma")],
+)
+def test_apps_filter_rejects_nonpositive_parameters(flag, value, name, tmp_path):
+    # a zero divided by zero in the closed form; a negative gamma printed negative responses
+    with pytest.raises(SystemExit) as exc:
+        run_cli("apps", "filter", flag, value, "--steps", "2", "--out", str(tmp_path / "f.csv"))
+    assert exc.value.code == "erfkit apps: filter %s must be positive, got %s" % (name, value)
+
+
+@pytest.mark.parametrize("app", ["power", "harmonics", "filter"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_apps_rejects_step_counts_below_one(app, steps, tmp_path):
+    # a count below 1 used to write the header alone and exit 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("apps", app, "--steps", steps, "--out", str(tmp_path / "a.csv"))
+    assert exc.value.code == "erfkit apps: --steps must be >= 1, got %s" % steps

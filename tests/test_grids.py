@@ -4,19 +4,12 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from erfkit.exact import as_mpf
-from erfkit.grids import (
-    GridApproximant,
-    build_grid_table,
-    build_nonuniform_grid,
-    covering_grid,
-    eval_nonuniform,
-    floor_cells,
-)
+from erfkit.exact import as_mpf, mpf_to_fraction
+from erfkit.grids import GridApproximant, build_grid_table, build_nonuniform_grid, covering_grid
 from erfkit.oracle import CTX34, CTX70, erf_ref
-from erfkit.spline import build_spline
+from erfkit.spline import IntervalSpline, build_spline
 from erfkit.tables import TABLE10
-from erfkit.transition import grid_points, sweep
+from erfkit.transition import PiecewiseApproximant, grid_points, optimize_transition, sweep
 
 
 def test_table_values_at_half():
@@ -56,7 +49,7 @@ def test_cells_reject_orders_outside_the_rule():
     knots = build_nonuniform_grid([mp.mpf(1), mp.mpf(2)], CTX34)
     table = build_grid_table(F(1, 2), 4, CTX34)
     for run in (
-        lambda: eval_nonuniform(-1, knots, "1.5", CTX34),
+        lambda: GridApproximant(-1, knots).value("1.5", CTX34),
         lambda: GridApproximant(65, table).value(1, CTX34),
     ):
         with pytest.raises(ValueError, match=r"interval spline order must be in 0\.\.64"):
@@ -74,17 +67,19 @@ def test_table_columns_positive_decreasing():
             assert mp.almosteq(t.partial[k], erf_ref(mp.mpf(k) / 2, CTX34), rel_eps=mp.mpf("1e-40"))
 
 
-def test_floor_cells_fixtures():
-    idx, off = floor_cells(mp.mpf(1), F(1, 2))
-    assert (idx, off) == (2, 0)
+def test_cell_boundaries_are_exact():
+    t = build_grid_table(F(1, 2), 4, CTX34)
+    g = GridApproximant(3, t)
+    # a knot is its own cell at offset exactly 0: the tabulated erf itself
+    assert g.value(mp.mpf(1), CTX34) == t.partial[2]
+    cells = [IntervalSpline(3, F(k, 2)) for k in range(2)]
     with CTX34.workdps():
-        idx, off = floor_cells(mp.mpf("0.74"), F(1, 2))
-        assert idx == 1
-        assert mp.almosteq(off, mp.mpf("0.24"), abs_eps=mp.mpf("1e-40"))
+        x = mp.mpf("0.74")
+        assert g.value(x, CTX34) == t.partial[1] + cells[1].value(x, CTX34)
         # a hair below the boundary stays in the lower cell: no snapping
-        idx, off = floor_cells(mp.mpf("0.4999999999"), F(1, 2))
-        assert idx == 0
-        assert off > mp.mpf("0.49")
+        x = mp.mpf("0.4999999999")
+        assert g.value(x, CTX34) == t.partial[0] + cells[0].value(x, CTX34)
+        assert g.value(x, CTX34) != t.partial[1] + cells[1].value(x, CTX34)
 
 
 def test_first_cell_reduces_to_plain_spline():
@@ -105,8 +100,9 @@ def test_matches_printed_low_order_forms():
             g = GridApproximant(n, t)
             for xs in ("0.74", "1.2", "2.31"):
                 x = mp.mpf(xs)
-                idx, off = floor_cells(x, F(1, 2))
+                idx = int(mpf_to_fraction(x) / F(1, 2))
                 alpha = mp.mpf(idx) / 2
+                off = x - alpha
                 base = t.partial[idx]
                 # directly assemble the printed bracket structure for order 1
                 if n == 1:
@@ -170,7 +166,7 @@ def test_nonuniform_matches_uniform_on_uniform_knots():
         grid = build_nonuniform_grid(knots, CTX34)
         for n in (2, 6):
             for x in ("0.3", "2.75", "4.5", "5.9"):
-                a = eval_nonuniform(n, grid, mp.mpf(x), CTX34)
+                a = GridApproximant(n, grid).value(mp.mpf(x), CTX34)
                 b = GridApproximant(n, t).value(mp.mpf(x), CTX34)
                 assert a == b, (n, x)
 
@@ -180,7 +176,7 @@ def test_nonuniform_below_first_knot_is_plain_spline():
         grid = build_nonuniform_grid([mp.mpf(1), mp.mpf(2)], CTX34)
         x = mp.mpf("0.6")
         assert mp.almosteq(
-            eval_nonuniform(3, grid, x, CTX34), build_spline(3).value(x, CTX34),
+            GridApproximant(3, grid).value(x, CTX34), build_spline(3).value(x, CTX34),
             rel_eps=mp.mpf("1e-38"),
         )
 
@@ -192,51 +188,67 @@ def test_nonuniform_beyond_last_knot_error_grows():
         errs = []
         for xs in ("1.5", "2.5", "3.5"):
             x = mp.mpf(xs)
-            errs.append(abs(1 - eval_nonuniform(2, grid, x, CTX34) / erf_ref(x, CTX34)))
+            errs.append(abs(1 - GridApproximant(2, grid).value(x, CTX34) / erf_ref(x, CTX34)))
         assert errs[0] < errs[1] < errs[2]
+
+
+def test_nonuniform_grid_is_swept_and_switched_like_any_approximant():
+    knots = [F(1, 3)] + [F(k, 4) for k in range(2, 9)]
+    g = GridApproximant(2, build_nonuniform_grid(knots, CTX34))
+    rep = sweep(g, (0, 5), 200, CTX34)
+    result = optimize_transition(g, (0, 5), 200, CTX34)
+    assert not result.tail_never_better
+    assert result.re_b < rep.re_b  # past the last knot the spline error grows
+    piecewise = PiecewiseApproximant(g, result.x_o)
+    assert sweep(piecewise, (0, 5), 200, CTX34).re_b == result.re_b
 
 
 def test_bad_inputs():
     with pytest.raises(ValueError):
         build_grid_table(F(0), 4, CTX34)
     with pytest.raises(ValueError):
-        floor_cells(mp.mpf(-1), F(1, 2))
-    with pytest.raises(ValueError):
         build_nonuniform_grid([mp.mpf(2), mp.mpf(1)], CTX34)
 
 
 # sha256 of the _mpf_ of grid values at a fixed sample: 97 sweep points of the
-# interval, every knot k*delta and the points 1e-9 either side of each. The
-# first four are the Table 10 grid rows, the last a 70-digit table.
+# interval, every knot and the points 1e-9 either side of each interior knot.
+# The first four are the Table 10 grid rows, then a 70-digit table and given
+# knots, one not dyadic, swept past the last knot.
 GRID_VALUE_PINS = {
     "grid n=3 d=3/4": "a55c90ca2adfb0c73a830a270c7a49600fa90849512ec7435b8ba0407bd5b974",
     "grid n=4 d=3/8": "5509b701f41cac4a7e9b1a40050eda433a08f12d721a19b0f1bc108df5a4592e",
     "grid n=6 d=1/4": "20493e0f8ba193ce9aa274d14919ac96c14699dd06808c924581f4e283559b79",
     "grid n=2 d=19/20": "b7a0718652709ce0b23e88800b2f94c440a550a485364f843fc5c3d1409b0e63",
     "70 digits n=4 d=1/2": "273bcd233af51a72f7a016d6c55bfde294d70f9a3b6fe2d3f08256b681d00d1c",
+    "nonuniform n=5 knots=1/3..6": "60dd3a04ef1b32c5caf5e0006d603d1c3177f9f2d98a0ead3833f39376663755",
 }
+NONUNIFORM_KNOTS = (F(1, 3), F(3, 4), F(13, 10), F(2), F(29, 10), F(41, 10), F(6))
 
 
 def _grid_case(label):
     if label.startswith("70 digits"):
         return GridApproximant(4, build_grid_table(F(1, 2), 18, CTX70)), (0, 9), CTX70
+    if label.startswith("nonuniform"):
+        return GridApproximant(5, build_nonuniform_grid(NONUNIFORM_KNOTS, CTX34)), (0, 8), CTX34
     n, delta = int(label.split()[1][2:]), F(label.split()[2][2:])
     interval = (0, 5) if delta == F(19, 20) else (0, 8)
     return covering_grid(n, delta, interval, CTX34), interval, CTX34
 
 
 @pytest.mark.parametrize(
-    "label", [row[0] for row in TABLE10 if row[0].startswith("grid")] + ["70 digits n=4 d=1/2"]
+    "label",
+    [row[0] for row in TABLE10 if row[0].startswith("grid")]
+    + ["70 digits n=4 d=1/2", "nonuniform n=5 knots=1/3..6"],
 )
 def test_grid_values_pinned_bit_for_bit(label):
     grid, interval, ctx = _grid_case(label)
-    delta, k_max = grid.table.resolution, grid.table.k_max
+    knots = grid.table.knots
     step = F(1, 10**9)
     digest = hashlib.sha256()
     with ctx.workdps():
         xs = list(grid_points(interval, 97))
-        xs += [as_mpf(delta * k) for k in range(k_max + 1)]
-        xs += [as_mpf(delta * k + s) for k in range(1, k_max) for s in (-step, step)]
+        xs += [as_mpf(k) for k in knots]
+        xs += [as_mpf(k + s) for k in knots[1:-1] for s in (-step, step)]
         for x in xs:
             sign, man, exp, bc = grid.value(x, ctx)._mpf_
             digest.update(b"%d %d %d %d\n" % (sign, man, exp, bc))

@@ -49,6 +49,7 @@ FAMILIES = {
     "gauss_g": lambda: build_gauss_g(2),
     "taylor": lambda: taylor(3),
     "grid": lambda: GridApproximant(2, build_grid_table(Fraction(1, 2), 16)),
+    "nonuniform": lambda: GridApproximant(2, build_nonuniform_grid([Fraction(1, 3), 1, 2])),
     "piecewise": lambda: PiecewiseApproximant(build_spline(4), 2),
 }
 
