@@ -291,13 +291,12 @@ def cmd_apps(args) -> int:
         raise ValueError("--steps must be >= 1, got %d" % args.steps)
     model = FilterModel(args.gamma, args.pole_freq) if args.app == "filter" else None
     ctx = PrecisionContext(args.digits)
-    out, close = _open_out(args.out)
-    writer = csv.writer(out)
     digits = ctx.working_digits
+    steps = args.steps
+    rows = []  # every row is computed before --out is opened, so an error leaves no file
     if args.app == "power":
         a0, a1 = args.amplitude_range or (Fraction(1, 100), Fraction(3))
-        steps = args.steps
-        writer.writerow(
+        rows.append(
             ["a[%s..%s steps=%d digits=%d]" % (a0, a1, steps, digits), "P_closed", "P_quadrature"]
         )
         with ctx.workdps():
@@ -305,11 +304,10 @@ def cmd_apps(args) -> int:
                 a = a0 + (a1 - a0) * Fraction(i, steps)
                 p = output_power(a, ctx)
                 q = output_power_quadrature(a, ctx)
-                writer.writerow([str(a), mp_str(p, digits), mp_str(q, digits)])
+                rows.append([str(a), mp_str(p, digits), mp_str(q, digits)])
     elif args.app == "harmonics":
         a0, a1 = args.amplitude_range or (Fraction(1, 10), Fraction(2))
-        steps = args.steps
-        writer.writerow(
+        rows.append(
             ["a[%s..%s steps=%d digits=%d]" % (a0, a1, steps, digits)]
             + ["c%d_closed,c%d_quad,c%d_flag" % (k, k, k) for k in (1, 3, 5, 7)]
         )
@@ -323,10 +321,9 @@ def cmd_apps(args) -> int:
                     row.append(
                         "%s,%s,%s" % (mp_str(closed, digits), mp_str(quad, digits), int(flagged))
                     )
-                writer.writerow(row)
+                rows.append(row)
     elif args.app == "filter":
         t0, t1 = args.t_range or (Fraction(0), Fraction(3))
-        steps = args.steps
         approx = None
         if args.order is not None:
             approx, _ = improved(build_spline(args.order), (0, 5), 10000, ctx)
@@ -338,7 +335,7 @@ def cmd_apps(args) -> int:
             args.gamma,
             args.pole_freq,
         )
-        writer.writerow([header, "y"] + (["y_n", "re"] if approx else []))
+        rows.append([header, "y"] + (["y_n", "re"] if approx else []))
         with ctx.workdps():
             for i in range(1, steps + 1):
                 t = t0 + (t1 - t0) * Fraction(i, steps)
@@ -348,7 +345,9 @@ def cmd_apps(args) -> int:
                     yn = filter_response_approx(model, approx, t, ctx)
                     re = 1 - yn / y if y != 0 else mp.mpf(0)
                     row += [mp_str(yn, digits), mp_str(re, digits)]
-                writer.writerow(row)
+                rows.append(row)
+    out, close = _open_out(args.out)
+    csv.writer(out).writerows(rows)
     if close:
         out.close()
     return 0

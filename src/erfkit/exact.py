@@ -284,18 +284,23 @@ def _plan_at(plan: tuple, xm: int, xe: int, u: tuple, prec: int) -> tuple:
     return _rounded(m * xm, e + xe, prec) if mode == "odd" else (m, e)
 
 
-def eval_polys(polys, x) -> tuple:
-    """Values of several polynomials at one x at the current mpmath precision.
+def poly_values(polys, x, prec: int) -> list:
+    """``_mpf_`` values of several polynomials at the mpf x, at binary precision prec.
 
-    x is converted by mp.mpf and u = x*x is rounded once and shared. Each
-    value is that of the mpf Horner loop acc = acc*u + c (times x for odd
-    polynomials, in x itself for mixed parity) from acc = 0, bit for bit.
+    u = x*x is rounded once and shared. Each value is that of the mpf Horner
+    loop acc = acc*u + c (times x for odd polynomials, in x itself for mixed
+    parity) from acc = 0, bit for bit.
     """
-    x = mp.mpf(x)
-    prec = mp.mp.prec
     xm, xe = _finite_parts(x)
     u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
-    return tuple(_to_mpf(_plan_at(p.plan(prec), xm, xe, u, prec), prec) for p in polys)
+    return [
+        from_man_exp(*_plan_at(p.plan(prec), xm, xe, u, prec), prec, round_nearest) for p in polys
+    ]
+
+
+def eval_polys(polys, x) -> tuple:
+    """``poly_values`` as mpf at the current mpmath precision, with x converted by mp.mpf."""
+    return tuple(map(mp.make_mpf, poly_values(polys, mp.mpf(x), mp.mp.prec)))
 
 
 def _to_mpf(parts: tuple, prec: int):

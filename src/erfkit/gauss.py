@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import PolyExpSum, RationalPolynomial, as_mpf, eval_polys, spline_coeff
+import mpmath as mp
+from mpmath.libmp import mpf_div, round_nearest
+
+from .exact import PolyExpSum, RationalPolynomial, as_mpf, poly_values, spline_coeff
 from .oracle import CTX34, PrecisionContext
 from .spline import (
     PolyExpApproximant,
@@ -35,9 +38,11 @@ class RationalFunctionApproximant:
     denominator: RationalPolynomial
 
     def value(self, x, ctx: PrecisionContext = CTX34):
+        """numerator(x) / denominator(x), the quotient rounded once at the working precision."""
         with ctx.workdps():
-            num, den = eval_polys((self.numerator, self.denominator), as_mpf(x))
-            return num / den
+            prec = mp.mp.prec
+            num, den = poly_values((self.numerator, self.denominator), as_mpf(x), prec)
+            return mp.make_mpf(mpf_div(num, den, prec, round_nearest))
 
 
 def gauss_g_parts(n: int) -> tuple:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg
+from mpmath.libmp import mpf_sub, round_nearest
 
 from .gauss import build_gauss_g, build_gauss_h
 from .grids import build_grid_table, covering_grid
@@ -239,11 +241,22 @@ def table8(table, rows, ctx):
 
 
 def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
-    """re_B of an exp(-x^2) approximant against the Gaussian on the sweep grid (nothing stored)."""
+    """re_B of an exp(-x^2) approximant against the Gaussian on the sweep grid (nothing stored).
+
+    max |1 - f(x)/exp(-x^2)| on libmp tuples, each operation rounded as its
+    mpf counterpart rounds it; every point goes through ``approx.value``.
+    """
     with ctx.workdps():
-        return max(
-            abs(1 - approx.value(x, ctx) / mp.exp(-x * x)) for x in grid_points(interval, n_points)
-        )
+        prec, rnd = mp.mp.prec, round_nearest
+        best = fzero
+        for x in grid_points(interval, n_points):
+            t = x._mpf_
+            gauss = mpf_exp(mpf_mul(mpf_neg(t), t, prec, rnd), prec, rnd)
+            q = mpf_div(approx.value(x, ctx)._mpf_, gauss, prec, rnd)
+            err = mpf_abs(mpf_sub(fone, q, prec, rnd))
+            if mpf_gt(err, best):
+                best = err
+        return mp.make_mpf(best)
 
 
 def table9(table, rows, ctx):

@@ -5,6 +5,12 @@ endpoint is excluded so x = 0 (where every approximant and erf both vanish)
 never reaches the relative-error quotient. Reference values are cached per
 (interval, N, digits) because table reproduction reuses the same grids many
 times; the cache keeps the most recently used grids up to a total point count.
+
+``optimize_transition`` records the signed errors of its inner approximant
+(one grid's worth, in one slot). A ``PiecewiseApproximant`` swept next on the
+same grid, around that very inner object, reads its errors up to x_o from the
+record instead of evaluating the inner again; beyond x_o its error is
+1 - 1/erf(x). Approximants must therefore not change between the two calls.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from .spline import PolyExpApproximant
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
 
+# (grid key, inner, signed errors) of the last optimize_transition, or None.
+# The strong reference to inner keeps its id from being reused while it is
+# held, so a match by identity is sound.
+_INNER_ERRORS = None
+
 
 def grid_points(interval, n_points: int):
     """Yield x_i = a + i(b-a)/N, i = 1..N, at the current mpmath precision."""
@@ -49,7 +60,7 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     anything else is a ValueError.
     """
     with ctx.workdps():
-        key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
+        key = _grid_key(interval, n_points, ctx)
         hit = _REF_GRID_CACHE.get(key)
         if hit is not None:
             _REF_GRID_CACHE.move_to_end(key)
@@ -69,10 +80,28 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     return hit
 
 
-def _relative_errors(approx, xs, refs, ctx: PrecisionContext):
-    """Signed 1 - f(x)/erf(x) on a cached grid; iterate inside ctx.workdps()."""
-    for x, ref in zip(xs, refs):
-        yield 1 - approx.value(x, ctx) / ref
+def _grid_key(interval, n_points: int, ctx: PrecisionContext) -> tuple:
+    """(a, b, N, ctx) with the endpoints as mpf at the working precision."""
+    with ctx.workdps():
+        return (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
+
+
+def _relative_errors(approx, key, xs, refs, ctx: PrecisionContext) -> tuple:
+    """Signed 1 - f(x)/erf(x) on the first len(xs) points of grid ``key``, inside ctx.workdps().
+
+    The record of the last ``optimize_transition`` answers for its inner on
+    its grid. A ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
+    1 - 1/erf(x); up to x_o (a prefix: the grid ascends) its errors are its
+    inner's. Everything else is evaluated point by point.
+    """
+    record = _INNER_ERRORS
+    if record is not None and record[0] == key and record[1] is approx:
+        return record[2][: len(xs)]
+    if isinstance(approx, PiecewiseApproximant):
+        split = sum(1 for x in xs if x <= approx.x_o)
+        head = _relative_errors(approx.inner, key, xs[:split], refs[:split], ctx)
+        return head + tuple(1 - 1 / ref for ref in refs[split:])
+    return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs, refs))
 
 
 @dataclass(frozen=True)
@@ -105,10 +134,15 @@ class SweepReport:
 
 
 def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> SweepReport:
-    """Relative-error sweep of an approximant against the erf oracle."""
+    """Relative-error sweep of an approximant against the erf oracle.
+
+    A ``PiecewiseApproximant`` swept right after ``optimize_transition`` of
+    its inner on the same grid reuses the inner errors that call recorded.
+    """
     xs, refs = reference_grid(interval, n_points, ctx)
+    key = _grid_key(interval, n_points, ctx)
     with ctx.workdps():
-        res = tuple(_relative_errors(approx, xs, refs, ctx))
+        res = _relative_errors(approx, key, xs, refs, ctx)
         best_i = max(range(n_points), key=lambda i: abs(res[i]))
         best = abs(res[best_i])
     return SweepReport(
@@ -157,10 +191,17 @@ def optimize_transition(
 
     When the inner curve never reaches the tail curve, the sweep is reported
     with x_o at the last grid point and tail_never_better set.
+
+    The signed inner errors replace the module's one-grid record, so that
+    a sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid reads them.
     """
+    global _INNER_ERRORS
     xs, refs = reference_grid(interval, n_points, ctx)
+    key = _grid_key(interval, n_points, ctx)
     with ctx.workdps():
-        inner_abs = [abs(r) for r in _relative_errors(inner, xs, refs, ctx)]
+        errors = _relative_errors(inner, key, xs, refs, ctx)
+        _INNER_ERRORS = (key, inner, errors)
+        inner_abs = [abs(r) for r in errors]
         tail_abs = [abs(1 - 1 / ref) for ref in refs]
         cross = next((j for j, (e, t) in enumerate(zip(inner_abs, tail_abs)) if e >= t), None)
         if cross is None:

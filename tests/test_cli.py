@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
 import io
+import warnings
 from contextlib import redirect_stdout
 
 import mpmath as mp
@@ -362,6 +364,30 @@ def test_apps_filter_rejects_nonpositive_parameters(flag, value, name, tmp_path)
     with pytest.raises(SystemExit) as exc:
         run_cli("apps", "filter", flag, value, "--steps", "2", "--out", str(tmp_path / "f.csv"))
     assert exc.value.code == "erfkit apps: filter %s must be positive, got %s" % (name, value)
+
+
+@pytest.mark.parametrize(
+    "app, flags, message",
+    [
+        ("filter", ["--order", "65"], "spline order must be in 0..64, got 65"),
+        ("filter", ["--t-range=-2:1"], "filter response defined for t >= 0"),
+        ("power", ["--amplitude-range=-2:1"], "amplitude must be positive"),
+    ],
+    ids=["filter-order", "filter-negative-t", "power-negative-a"],
+)
+def test_apps_errors_leave_no_out_file(app, flags, message, tmp_path):
+    # --out used to be opened first: the error left an empty file and an unclosed handle
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("apps", app, *flags, "--steps", "2", "--out", str(out))
+        code = exc.value.code
+        del exc  # its traceback holds the frame that held the file
+        gc.collect()
+    assert code == "erfkit apps: " + message
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.parametrize("app", ["power", "harmonics", "filter"])

@@ -1,18 +1,20 @@
+import hashlib
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from erfkit.exact import RationalPolynomial
+from erfkit.exact import RationalPolynomial, as_mpf, eval_polys
 from erfkit.gauss import (
     build_erf_series,
     build_gauss_g,
     build_gauss_h,
     gauss_g_parts,
 )
-from erfkit.oracle import CTX34, erf_ref
+from erfkit.oracle import CTX34, CTX70, erf_ref
 from erfkit.spline import build_spline
 from erfkit.tables import gauss_sweep
+from erfkit.transition import grid_points
 
 PRINTED_G = {
     0: ([1], [1, 0, 2]),
@@ -92,6 +94,52 @@ def test_h_beats_g_at_higher_orders():
             gb = gauss_sweep(build_gauss_g(n), (0, b), 400, CTX34)
             hb = gauss_sweep(build_gauss_h(n), (0, b), 400, CTX34)
             assert hb < gb
+
+
+BUILDERS = {"g": build_gauss_g, "h": build_gauss_h}
+
+# sha256 of the Table 9 bound's _mpf_, recorded with the mpf walk
+# max(abs(1 - value / mp.exp(-x * x))): (family, n, digits, points) -> digest.
+# 34 digits run on Table 9's grid (0, 3/sqrt(2)], 70 digits on (0, 4].
+TABLE9_PINS = {
+    ("g", 2, 34, 10000): "d4b6126070513bad6fc24c4b43dca6619cc0657e9e482aebd3413c6f9fc9b0c9",
+    ("g", 4, 34, 10000): "28848c8a5fa1d4212bdf7f0b13a258794d5cc4b9dbd01193df01f533ddc021ff",
+    ("g", 12, 34, 10000): "99967ce6221b8128a948857d2a926d753c84d757763ca9d99c5ef204026a6fd0",
+    ("h", 0, 34, 10000): "ebc4f6915f3acdd035031b973cd34f1a9a6f29142e44784fee0042e114d5600e",
+    ("h", 5, 34, 10000): "33b7f70b670ef2085d91d3d9b30f73004c8f94a0dcd25c71f0e5d419d4884f1a",
+    ("h", 10, 34, 10000): "63a0c95a7d916a1df2ce47d527e23f9767df5e106f1cb1a2282cce3b55bbdf69",
+    ("g", 7, 70, 1000): "782507945ca2e1eacab9f8458dcb9eba834ca4c12639fca9bf9455f72d589bea",
+    ("h", 8, 70, 1000): "63ce217a3a7e14a6c4deacb404e3703e24252858b31761658e2c41f9430e9bc8",
+}
+
+
+def _table9_interval(ctx):
+    if ctx.working_digits == 70:
+        return (0, 4)
+    with ctx.workdps():
+        return (mp.mpf(0), 3 / mp.sqrt(2))
+
+
+@pytest.mark.parametrize("case", TABLE9_PINS, ids=lambda c: "%s%d-d%d-N%d" % c)
+def test_gauss_sweep_pinned_bit_for_bit(case):
+    tag, n, digits, points = case
+    ctx = CTX34 if digits == 34 else CTX70
+    bound = gauss_sweep(BUILDERS[tag](n), _table9_interval(ctx), points, ctx)
+    digest = hashlib.sha256(b"%d %d %d %d\n" % bound._mpf_).hexdigest()
+    assert digest == TABLE9_PINS[case]
+
+
+@pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])
+@pytest.mark.parametrize("tag, n", [("g", 0), ("g", 4), ("g", 12), ("h", 3), ("h", 10)])
+def test_rational_value_is_the_eval_polys_quotient(tag, n, ctx):
+    # the quotient num/den of the two kernel values, rounded once
+    approx = BUILDERS[tag](n)
+    with ctx.workdps():
+        xs = [0, mp.mpf("-1.75"), F(-7, 3), mp.mpf("1e-30"), 10**6]
+        xs += list(grid_points(_table9_interval(ctx), 200))
+        for x in xs:
+            num, den = eval_polys((approx.numerator, approx.denominator), as_mpf(x))
+            assert approx.value(x, ctx)._mpf_ == (num / den)._mpf_, x
 
 
 def test_series_tail_fixtures():

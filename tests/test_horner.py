@@ -72,7 +72,7 @@ def reference_value(monkeypatch, approx, x, ctx):
     """approx.value(x, ctx) with the mpf loops in place of the kernel."""
     with monkeypatch.context() as m:
         m.setattr(PolyExpSum, "eval_raw", ref.eval_raw)
-        m.setattr(gauss, "eval_polys", lambda polys, x: tuple(ref.eval_mpf(p, x) for p in polys))
+        m.setattr(gauss, "poly_values", lambda polys, x, prec: [ref.eval_mpf(p, x)._mpf_ for p in polys])
         return approx.value(x, ctx)
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from erfkit import transition
 from erfkit.exact import RationalPolynomial
-from erfkit.oracle import CTX34, erf_ref, sqrt_pi
-from erfkit.spline import build_spline
+from erfkit.oracle import CTX34, CTX70, erf_ref, sqrt_pi
+from erfkit.spline import SplineApproximant, build_spline
 from erfkit.transition import (
     EnvelopePair,
     PiecewiseApproximant,
@@ -240,8 +240,98 @@ def grid_cache(monkeypatch):
     return transition._REF_GRID_CACHE
 
 
+@pytest.fixture
+def inner_errors(monkeypatch):
+    """An empty optimize_transition record for one test, restored afterwards."""
+    monkeypatch.setattr(transition, "_INNER_ERRORS", None)
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Counts SplineApproximant.value calls per approximant object (keyed by id)."""
+    calls = Counter()
+    value = SplineApproximant.value
+
+    def spy(self, x, ctx=CTX34):
+        calls[id(self)] += 1
+        return value(self, x, ctx)
+
+    monkeypatch.setattr(SplineApproximant, "value", spy)
+    return calls
+
+
 def cached_points(cache):
     return sum(len(xs) for xs, _ in cache.values())
+
+
+def pointwise_errors(approx, interval, n_points, ctx):
+    """1 - f(x)/erf(x) at every grid point through approx.value, as the sweep once did."""
+    xs, refs = reference_grid(interval, n_points, ctx)
+    with ctx.workdps():
+        return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs, refs))
+
+
+RECORD_GRID = ((0, 5), 120)
+
+
+def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(inner_errors, value_calls):
+    inner = build_spline(4)
+    res = optimize_transition(inner, *RECORD_GRID, CTX34)
+    assert value_calls[id(inner)] == 120
+    value_calls.clear()
+    piece, again = improved(inner, *RECORD_GRID, CTX34)
+    rep = sweep(piece, *RECORD_GRID, CTX34)
+    assert again == res and not value_calls
+    assert rep.re == pointwise_errors(piece, *RECORD_GRID, CTX34)
+
+
+@pytest.mark.parametrize("where", ["below-first", "interior", "above-last"])
+def test_piecewise_errors_are_the_pointwise_quotients(where, inner_errors, value_calls):
+    inner = build_spline(3)
+    xs, _ = reference_grid(*RECORD_GRID, CTX34)
+    x_o = {"below-first": mp.mpf("0.01"), "interior": xs[57], "above-last": mp.mpf(6)}[where]
+    optimize_transition(inner, *RECORD_GRID, CTX34)
+    value_calls.clear()
+    piece = PiecewiseApproximant(inner, x_o)
+    rep = sweep(piece, *RECORD_GRID, CTX34)
+    assert not value_calls
+    expected = pointwise_errors(piece, *RECORD_GRID, CTX34)
+    assert len(rep.re) == len(expected) == 120
+    assert all(r == e for r, e in zip(rep.re, expected))
+    with CTX34.workdps():
+        assert rep.re_b == max(abs(e) for e in expected)
+
+
+def test_record_is_not_reused_for_another_grid_ctx_or_inner(inner_errors, value_calls):
+    inner = build_spline(4)
+    x_o = optimize_transition(inner, *RECORD_GRID, CTX34).x_o
+    twin = SplineApproximant(inner.order, inner.form)
+    assert twin == inner and twin is not inner
+    for approx, interval, n_points, ctx in (
+        (inner, (0, 5), 121, CTX34),  # another grid
+        (inner, (0, 6), 120, CTX34),
+        (inner, (0, 5), 120, CTX70),  # another ctx
+        (twin, (0, 5), 120, CTX34),  # an equal but distinct inner
+    ):
+        value_calls.clear()
+        piece = PiecewiseApproximant(approx, x_o)
+        rep = sweep(piece, interval, n_points, ctx)
+        xs, _ = reference_grid(interval, n_points, ctx)
+        assert value_calls[id(approx)] == sum(1 for x in xs if x <= x_o) > 0
+        assert rep.re == pointwise_errors(piece, interval, n_points, ctx)
+    rep = sweep(PiecewiseApproximant(inner, x_o), *RECORD_GRID, CTX34)
+    assert rep.re == sweep(PiecewiseApproximant(twin, x_o), *RECORD_GRID, CTX34).re
+
+
+def test_record_holds_one_grid(inner_errors, value_calls):
+    inner = build_spline(4)
+    optimize_transition(inner, (0, 5), 120, CTX34)
+    optimize_transition(inner, (0, 6), 90, CTX34)
+    key, held, errors = transition._INNER_ERRORS
+    assert key[2:] == (90, CTX34) and held is inner and len(errors) == 90
+    value_calls.clear()
+    sweep(PiecewiseApproximant(inner, mp.mpf(6)), (0, 5), 120, CTX34)
+    assert value_calls[id(inner)] == 120  # the first grid's errors are gone
 
 
 def test_reference_grid_shares_equal_endpoints(grid_cache):
