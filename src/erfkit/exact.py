@@ -7,8 +7,8 @@ coefficients once per binary precision, and one Horner kernel (``horner``)
 evaluates every polynomial and poly-exp sum on Python-int (mantissa,
 exponent) pairs. It rounds the same operations in the same order as the mpf
 Horner loop it replaced, so every value is that loop's value bit for bit.
-``_rounded`` and ``_sum`` are the one rounding rule (half to even, as mpf
-arithmetic rounds): the kernel and the erf oracle's series both use it.
+The one rounding rule, half to even as mpf arithmetic rounds (``_rounded``),
+is written out inline in the two hot loops: ``horner`` and the erf oracle's.
 """
 
 from __future__ import annotations
@@ -195,28 +195,6 @@ def _rounded(m: int, e: int, prec: int) -> tuple:
     return m, e
 
 
-def _sum(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
-    """a + b rounded once to prec bits, for a and b of at most prec significant bits.
-
-    An addend more than prec + 4 bits below the other lies inside half an
-    ulp of it, so the rounded sum is the larger addend itself (what the
-    sticky bit of ``mpf_add`` rounds back to); no shift grows with the
-    exponent gap.
-    """
-    if not bm:
-        return am, ae
-    if not am:
-        return bm, be
-    gap = ae + am.bit_length() - be - bm.bit_length()
-    if gap > prec + 4:
-        return am, ae
-    if gap < -prec - 4:
-        return bm, be
-    if ae > be:
-        return _rounded((am << (ae - be)) + bm, be, prec)
-    return _rounded(am + (bm << (be - ae)), ae, prec)
-
-
 def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
     """acc = acc * t + c over a plan's coefficients (top first), on Python ints.
 
@@ -225,8 +203,9 @@ def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
     ``round_nearest``, so the result is the mpf Horner loop's value bit for
     bit. Mantissas are signed and not normalised; a zero coefficient skips
     its add (adding 0 returns the rounded product unchanged). Returns
-    (mantissa, exponent); the top coefficient must be nonzero. ``_rounded``
-    and ``_sum`` are written out inline: this loop is the evaluation hot path.
+    (mantissa, exponent). ``_rounded`` is written out inline: this loop is
+    the evaluation hot path. A multiply by t = 1 changes no value, so
+    ``horner(((0, 0, 0),) + terms, 1, 0, prec)`` is the terms' running sum.
     """
     it = iter(coeffs)
     m, e, _ = next(it)
@@ -246,7 +225,9 @@ def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
         if not m:
             m, e = cm, ce
             continue
-        gap = e + bc - ctop  # see _sum: the smaller addend cannot move the rounded sum
+        # an addend more than prec + 4 bits below the other cannot move the rounded
+        # sum (mpf_add's sticky bit rounds back to the larger); no shift grows with the gap
+        gap = e + bc - ctop
         if gap > margin:
             continue
         if gap < -margin:
@@ -403,14 +384,14 @@ class PolyExpSum:
         prec = mp.mp.prec
         xm, xe = _finite_parts(x)
         u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
-        am = ae = 0
+        parts = [(0, 0, 0)]
         for negk, plan in plans:
             m, e = _plan_at(plan, xm, xe, u, prec)
             if negk is not None and m:
                 _, em, ee, _ = mpf_exp(mpf_mul(negk, u, prec, round_nearest), prec, round_nearest)
                 m, e = _rounded(m * em, e + ee, prec)
-            am, ae = _sum(am, ae, m, e, prec)
-        return am, ae
+            parts.append((m, e, e + m.bit_length()))
+        return horner(parts, 1, 0, prec)
 
     def eval_raw(self, x):
         """Evaluate the stored sum (no prefactor) at current precision.

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, round_nearest
 
-from .exact import _rounded, _sum, _to_mpf, as_mpf
+from .exact import _rounded, as_mpf
 
 GUARD_DIGITS = 10  # extra decimal digits every intermediate sum carries
 
@@ -87,11 +88,10 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
     2x^2/(2n+3) has fallen below 1/2 (geometric tail).
 
     The sum runs on Python ints: t = 2x^2, ratio, term, total and eps*total
-    are (mantissa, exponent) pairs, each operation is rounded once to
-    mp.prec bits, half to even, by ``exact._rounded`` and ``exact._sum``
-    (the rounding rule of the Horner kernel), and both comparisons are
-    exact. mpf arithmetic rounds the same operations the same way, so the
-    result is bit for bit that of the same loop written on mpf values.
+    are (mantissa, exponent) pairs, each rounded once to mp.prec bits, half
+    to even, inline as in ``exact.horner``; both comparisons are exact. The
+    prefactor is libmp calls at round_nearest. So the result is bit for bit
+    that of the same loop on mpf values, which rounds the same operations.
     """
     with ctx.workdps():
         xm = as_mpf(x)
@@ -101,7 +101,8 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
             return mp.mpf(0)
         prec = mp.mp.prec
         _, em, ee, _ = _series_eps(ctx.total_digits)._mpf_
-        _, tm, te, tbc = (2 * xm * xm)._mpf_
+        xx = mpf_mul(xm._mpf_, xm._mpf_, prec, round_nearest)
+        _, tm, te, tbc = mpf_shift(xx, 1)  # t = 2x^2
         _, sm, se, _ = xm._mpf_  # term
         total_m, total_e = sm, se
         d = 3  # 2n + 3
@@ -112,19 +113,46 @@ def erf_ref(x, ctx: PrecisionContext = CTX34):
             if r:
                 q = (q << 1) | 1
                 k += 1
-            ratio_m, ratio_e = _rounded(q, te - k, prec)
-            sm, se = _rounded(sm * ratio_m, se + ratio_e, prec)
+            n = q.bit_length() - prec
+            h = q >> (n - 1)
+            ratio_m = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != q) else h >> 1
+            ratio_e = te - k + n
+            sm *= ratio_m
+            se += ratio_e
+            n = sm.bit_length() - prec
+            if n > 0:
+                h = sm >> (n - 1)
+                sm = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != sm) else h >> 1
+                se += n
             assert sm > 0, "oracle series terms must stay positive"
-            total_m, total_e = _sum(total_m, total_e, sm, se, prec)
+            top = sm.bit_length() + se
+            # total >= term, so only the term can lie below horner's prec + 4 cut-off
+            if total_m.bit_length() + total_e - top <= prec + 4:
+                if total_e > se:
+                    total_m = (total_m << (total_e - se)) + sm
+                    total_e = se
+                else:
+                    total_m += sm << (se - total_e)
+                n = total_m.bit_length() - prec
+                if n > 0:
+                    h = total_m >> (n - 1)
+                    up = h & 1 and (h & 2 or h << (n - 1) != total_m)
+                    total_m = (h >> 1) + 1 if up else h >> 1
+                    total_e += n
             d += 2
-            if ratio_m.bit_length() + ratio_e < 0:  # ratio < 1/2
+            # ratio < 1/2: stop once term < eps*total. eps*total < 2^L, L = bits(em) + ee
+            # + bits(total_m) + total_e, and <= 2^L rounded; term >= 2^(top - 1), so for
+            # top >= L + 1 the loop cannot stop and the rounded product is not formed
+            if ratio_m.bit_length() + ratio_e < 0 and top <= (
+                em.bit_length() + ee + total_m.bit_length() + total_e
+            ):
                 pm, pe = _rounded(em * total_m, ee + total_e, prec)
-                top, ptop = sm.bit_length() + se, pm.bit_length() + pe  # term < eps*total, exactly
-                if top < ptop or top == ptop and (
-                    sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se)
-                ):
+                if sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se):  # term < eps*total
                     break
-        return 2 * mp.exp(-xm * xm) * _to_mpf((total_m, total_e), prec) / sqrt_pi()
+        # 2 e^(-x^2) total / sqrt(pi), rounded as the mpf expression rounds it
+        value = mpf_shift(mpf_exp(mpf_neg(xx), prec, round_nearest), 1)
+        value = mpf_mul(value, from_man_exp(total_m, total_e), prec, round_nearest)
+        return mp.make_mpf(mpf_div(value, sqrt_pi()._mpf_, prec, round_nearest))
 
 
 def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):

@@ -98,7 +98,7 @@ def _relative_errors(approx, key, xs, refs, ctx: PrecisionContext) -> tuple:
     if record is not None and record[0] == key and record[1] is approx:
         return record[2][: len(xs)]
     if isinstance(approx, PiecewiseApproximant):
-        split = sum(1 for x in xs if x <= approx.x_o)
+        split = sum(map(approx.uses_inner, xs))
         head = _relative_errors(approx.inner, key, xs[:split], refs[:split], ctx)
         return head + tuple(1 - 1 / ref for ref in refs[split:])
     return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs, refs))
@@ -164,10 +164,21 @@ class PiecewiseApproximant(OddApproximant):
     inner: object
     x_o: object
 
+    def __post_init__(self):
+        x_o = self.x_o  # an mpf is compared as given, any other number by its exact value
+        try:
+            bound = x_o if isinstance(x_o, mp.mpf) and mp.isfinite(x_o) else Fraction(x_o)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError("x_o must be a finite number, got %r" % (x_o,)) from exc
+        object.__setattr__(self, "_bound", bound)
+
+    def uses_inner(self, xm) -> bool:
+        """xm <= x_o, exactly, for an mpf xm."""
+        bound = self._bound
+        return xm <= bound if isinstance(bound, mp.mpf) else mpf_to_fraction(xm) <= bound
+
     def positive(self, xm, ctx: PrecisionContext):
-        if xm <= self.x_o:
-            return self.inner.value(xm, ctx)
-        return mp.mpf(1)
+        return self.inner.value(xm, ctx) if self.uses_inner(xm) else mp.mpf(1)
 
 
 @dataclass(frozen=True)

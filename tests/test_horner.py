@@ -9,7 +9,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 import horner_reference as ref
 from erfkit import gauss
-from erfkit.exact import PolyExpSum, RationalPolynomial, _rounded, _sum, as_mpf, eval_polys
+from erfkit.exact import PolyExpSum, RationalPolynomial, _rounded, as_mpf, eval_polys, horner
 from erfkit.gauss import build_erf_series, build_gauss_g, build_gauss_h
 from erfkit.oracle import CTX34, CTX70, PrecisionContext
 from erfkit.spline import build_spline
@@ -120,6 +120,11 @@ def _normal(m, e):
     return sign, m >> zeros, e + zeros, (m >> zeros).bit_length()
 
 
+def _added(a, b, prec):
+    """a + b as the two-entry Horner sum at t = 1, the way a poly-exp sum adds its terms."""
+    return horner(tuple((m, e, e + m.bit_length()) for m, e in (a, b)), 1, 0, prec)
+
+
 @pytest.mark.parametrize("prec", [8, 53, 113, 233])
 def test_rounding_primitives_match_libmp(prec):
     # the one rounding rule of the kernel and the oracle, against libmp at round_nearest
@@ -151,7 +156,7 @@ def test_rounding_primitives_match_libmp(prec):
         ((-top, 4), (0, 0)),
         ((0, 0), (0, 0)),
     ]
-    # the top of b lies gap bits below the top of a: _sum's cut-off is prec + 4,
+    # the top of b lies gap bits below the top of a: the sum's cut-off is prec + 4,
     # and at prec + 1 a power of two minus b can round into the binade below
     for gap in (prec + 1, prec + 4, prec + 5):
         for am in (half, half + 1, top, -half):
@@ -160,8 +165,8 @@ def test_rounding_primitives_match_libmp(prec):
     for a, b in pairs:
         # the inputs have at most prec bits, so from_man_exp without prec is exact
         expected = mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
-        assert _normal(*_sum(*a, *b, prec)) == expected, (a, b)
-        assert _normal(*_sum(*b, *a, prec)) == expected, (b, a)
+        assert _normal(*_added(a, b, prec)) == expected, (a, b)
+        assert _normal(*_added(b, a, prec)) == expected, (b, a)
 
 
 EDGE_POLYS = {

@@ -143,6 +143,27 @@ def test_erf_ref_values_pinned_bit_for_bit(ctx):
     assert digest.hexdigest() == ERF_REF_PINS[ctx.working_digits]
 
 
+def stopping_points(ctx, seed):
+    """Random x on (0, 40); x = sqrt(d)/2 and its two neighbours, so that ratio = 2x^2/d
+    sits at 1/2 on the term where the stopping rule starts; dyadic x of <= 8 bits."""
+    rng = random.Random(seed)
+    with ctx.workdps():
+        pts = [40 * mp.mpf(rng.random()) for _ in range(16)]
+        for d in (3, 5, 7, 9, 11, 13, 25, 51, 99, 101, 1001, 4001):
+            _, man, exp, bc = (mp.sqrt(d) / 2)._mpf_
+            shift = mp.mp.prec - bc  # one ulp of sqrt(d)/2 is 2^(exp - shift)
+            pts += [mp.ldexp((man << shift) + k, exp - shift) for k in (-1, 0, 1)]
+        pts += [mp.ldexp(rng.randrange(1, 256), -rng.randrange(3, 13)) for _ in range(16)]
+    return pts
+
+
+@pytest.mark.parametrize("digits", [16, 34, 44, 70, 100])
+def test_erf_ref_stopping_rule_is_the_mpf_series(digits):
+    ctx = PrecisionContext(digits)
+    for x in stopping_points(ctx, 1000 + digits):
+        assert erf_ref(x, ctx)._mpf_ == erf_ref_mpf(x, ctx)._mpf_, x
+
+
 def trapezoid_reference(f, period, ctx, start_nodes):
     """The doubling loop that evaluates every node of every level."""
     with ctx.workdps():

@@ -395,6 +395,36 @@ def test_piecewise_converts_x_at_working_precision():
     assert PiecewiseApproximant(inner, 2).value("0.1", CTX34) == inner.value("0.1", CTX34)
 
 
+# x_o = 3.5 is grid point 7 of (0, 5] with N = 10, between grid points 3 and 4
+@pytest.mark.parametrize("x_o", [F(7, 2), "3.5"], ids=["fraction", "str"])
+def test_piecewise_exact_x_o_sweeps_as_the_mpf(x_o, inner_errors):
+    inner = build_spline(2)
+    given = sweep(PiecewiseApproximant(inner, x_o), (0, 5), 10, CTX34)
+    as_mpf = sweep(PiecewiseApproximant(inner, mp.mpf(3.5)), (0, 5), 10, CTX34)
+    assert given.re == as_mpf.re and given.re_b == as_mpf.re_b
+    with CTX34.workdps():  # x = x_o takes the inner
+        assert given.re[6] == 1 - inner.value(mp.mpf(3.5), CTX34) / erf_ref(mp.mpf(3.5), CTX34)
+
+
+@pytest.mark.parametrize("x_o", [F(7, 2), "3.5"], ids=["fraction", "str"])
+def test_piecewise_exact_x_o_values_as_the_mpf(x_o):
+    inner = build_spline(2)
+    given, as_mpf = PiecewiseApproximant(inner, x_o), PiecewiseApproximant(inner, mp.mpf(3.5))
+    for x in (3, F(7, 2), 4):
+        assert given.value(x, CTX34) == as_mpf.value(x, CTX34)
+    assert given.value(3, CTX34) == inner.value(3, CTX34) and given.value(4, CTX34) == 1
+
+
+@pytest.mark.parametrize(
+    "x_o",
+    [mp.nan, mp.inf, float("nan"), float("-inf"), "nan", "abc", None, [1]],
+    ids=["mpf-nan", "mpf-inf", "float-nan", "float-inf", "str-nan", "str", "none", "list"],
+)
+def test_piecewise_rejects_bad_x_o_at_construction(x_o):
+    with pytest.raises(ValueError, match="x_o"):
+        PiecewiseApproximant(build_spline(2), x_o)
+
+
 def test_taylor_value_is_its_polynomial():
     t9 = taylor(9)
     with CTX34.workdps():
