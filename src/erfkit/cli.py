@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -353,6 +354,7 @@ def cmd_apps(args) -> int:
     return 0
 
 
+@cache  # built once per process (about 1 ms); parse_args leaves it unchanged
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erfkit",
@@ -388,16 +390,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_apps = sub.add_parser("apps", help="application data to CSV")
-    p_apps.add_argument("app", choices=["power", "harmonics", "filter"])
-    p_apps.add_argument("--amplitude-range", type=_parse_interval, dest="amplitude_range")
-    p_apps.add_argument("--t-range", type=_parse_interval, dest="t_range")
-    p_apps.add_argument("--steps", type=int, default=60)
-    p_apps.add_argument("--gamma", type=_parse_rational, default=Fraction(1, 2))
-    p_apps.add_argument("--pole-freq", type=_parse_rational, dest="pole_freq", default=Fraction(1))
-    p_apps.add_argument("--order", type=int, default=None)
-    p_apps.add_argument("--digits", type=int, default=34)
-    p_apps.add_argument("--out", default=None, metavar="FILE")
     p_apps.set_defaults(func=cmd_apps)
+    apps = p_apps.add_subparsers(dest="app", required=True)
+    for app in ("power", "harmonics", "filter"):  # each takes only its own flags
+        p = apps.add_parser(app)
+        if app == "filter":
+            p.add_argument("--t-range", type=_parse_interval, dest="t_range")
+            p.add_argument("--gamma", type=_parse_rational, default=Fraction(1, 2))
+            p.add_argument("--pole-freq", type=_parse_rational, dest="pole_freq", default=Fraction(1))
+            p.add_argument("--order", type=int, default=None)
+        else:
+            p.add_argument("--amplitude-range", type=_parse_interval, dest="amplitude_range")
+        p.add_argument("--steps", type=int, default=60)
+        p.add_argument("--digits", type=int, default=34)
+        p.add_argument("--out", default=None, metavar="FILE")
     return parser
 
 

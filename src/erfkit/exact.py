@@ -21,19 +21,21 @@ from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpmath float as a Fraction (mpf values are dyadic).
+    """Exact value of a number as a Fraction; nothing is rounded.
 
-    An mpf is read as given, at any precision; other numbers go through mp.mpf.
+    An mpf is read as given, at any precision (mpf values are dyadic); any
+    other number is ``Fraction(x)``. NaN and infinities raise ValueError.
     """
     if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)
+        try:
+            return Fraction(x)
+        except OverflowError:  # a float infinity
+            raise ValueError("cannot convert non-finite value %r" % x) from None
     if not mp.isfinite(x):
         raise ValueError("cannot convert non-finite value %r" % x)
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def fraction_to_mpf(q: Fraction):
@@ -126,12 +128,6 @@ class RationalPolynomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def mul_x_power(self, power: int):
-        """Multiply by x**power."""
-        if not self.coeffs:
-            return self
-        return RationalPolynomial((Fraction(0),) * power + self.coeffs)
 
     def derivative(self):
         return RationalPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import as_mpf, fraction_to_mpf, mpf_to_fraction
-from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref
+from .oracle import CTX34, OddApproximant, PrecisionContext, _series_eps, erf_ref
 from .spline import IntervalSpline, check_order
 
 
@@ -41,7 +41,7 @@ class GridTable:
 def _tabulate(knots, resolution, ctx: PrecisionContext) -> GridTable:
     """erf at each knot; a uniform table stops at its first increment (k > 1) below precision."""
     with ctx.workdps():
-        eps = mp.mpf(10) ** (-ctx.total_digits)
+        eps = _series_eps(ctx.total_digits)
         kept, cs, partial = [Fraction(0)], [mp.mpf(0)], [mp.mpf(0)]
         saturated = False
         for knot in knots:

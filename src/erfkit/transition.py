@@ -7,15 +7,19 @@ never reaches the relative-error quotient. Reference values are cached per
 times; the cache keeps the most recently used grids up to a total point count.
 
 ``optimize_transition`` records the signed errors of its inner approximant
-(one grid's worth, in one slot). A ``PiecewiseApproximant`` swept next on the
-same grid, around that very inner object, reads its errors up to x_o from the
+(one grid's worth, in one slot), matched by identity with the cached grid
+tuple and the inner object. A ``PiecewiseApproximant`` swept next on that
+grid around that very inner object reads its errors up to x_o from the
 record instead of evaluating the inner again; beyond x_o its error is
 1 - 1/erf(x). Approximants must therefore not change between the two calls.
+A grid built again after eviction is a new tuple, which no record matches.
+x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +40,8 @@ from .spline import PolyExpApproximant
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
 
-# (grid key, inner, signed errors) of the last optimize_transition, or None.
-# The strong reference to inner keeps its id from being reused while it is
+# (grid xs, inner, signed errors) of the last optimize_transition, or None.
+# The strong references keep their ids from being reused while they are
 # held, so a match by identity is sound.
 _INNER_ERRORS = None
 
@@ -60,7 +64,7 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     anything else is a ValueError.
     """
     with ctx.workdps():
-        key = _grid_key(interval, n_points, ctx)
+        key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
         hit = _REF_GRID_CACHE.get(key)
         if hit is not None:
             _REF_GRID_CACHE.move_to_end(key)
@@ -80,14 +84,8 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
     return hit
 
 
-def _grid_key(interval, n_points: int, ctx: PrecisionContext) -> tuple:
-    """(a, b, N, ctx) with the endpoints as mpf at the working precision."""
-    with ctx.workdps():
-        return (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
-
-
-def _relative_errors(approx, key, xs, refs, ctx: PrecisionContext) -> tuple:
-    """Signed 1 - f(x)/erf(x) on the first len(xs) points of grid ``key``, inside ctx.workdps().
+def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
+    """Signed 1 - f(x)/erf(x) on the first n points of the cached grid xs, inside ctx.workdps().
 
     The record of the last ``optimize_transition`` answers for its inner on
     its grid. A ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
@@ -95,13 +93,13 @@ def _relative_errors(approx, key, xs, refs, ctx: PrecisionContext) -> tuple:
     inner's. Everything else is evaluated point by point.
     """
     record = _INNER_ERRORS
-    if record is not None and record[0] == key and record[1] is approx:
-        return record[2][: len(xs)]
+    if record is not None and record[0] is xs and record[1] is approx:
+        return record[2][:n]
     if isinstance(approx, PiecewiseApproximant):
-        split = sum(map(approx.uses_inner, xs))
-        head = _relative_errors(approx.inner, key, xs[:split], refs[:split], ctx)
-        return head + tuple(1 - 1 / ref for ref in refs[split:])
-    return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs, refs))
+        split = bisect_right(xs, approx._bound, hi=n, key=mpf_to_fraction)
+        head = _relative_errors(approx.inner, xs, refs, split, ctx)
+        return head + tuple(1 - 1 / ref for ref in refs[split:n])
+    return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs[:n], refs))
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,8 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
     its inner on the same grid reuses the inner errors that call recorded.
     """
     xs, refs = reference_grid(interval, n_points, ctx)
-    key = _grid_key(interval, n_points, ctx)
     with ctx.workdps():
-        res = _relative_errors(approx, key, xs, refs, ctx)
+        res = _relative_errors(approx, xs, refs, n_points, ctx)
         best_i = max(range(n_points), key=lambda i: abs(res[i]))
         best = abs(res[best_i])
     return SweepReport(
@@ -165,20 +162,14 @@ class PiecewiseApproximant(OddApproximant):
     x_o: object
 
     def __post_init__(self):
-        x_o = self.x_o  # an mpf is compared as given, any other number by its exact value
         try:
-            bound = x_o if isinstance(x_o, mp.mpf) and mp.isfinite(x_o) else Fraction(x_o)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError("x_o must be a finite number, got %r" % (x_o,)) from exc
+            bound = mpf_to_fraction(self.x_o)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("x_o must be a finite number, got %r" % (self.x_o,)) from exc
         object.__setattr__(self, "_bound", bound)
 
-    def uses_inner(self, xm) -> bool:
-        """xm <= x_o, exactly, for an mpf xm."""
-        bound = self._bound
-        return xm <= bound if isinstance(bound, mp.mpf) else mpf_to_fraction(xm) <= bound
-
     def positive(self, xm, ctx: PrecisionContext):
-        return self.inner.value(xm, ctx) if self.uses_inner(xm) else mp.mpf(1)
+        return self.inner.value(xm, ctx) if mpf_to_fraction(xm) <= self._bound else mp.mpf(1)
 
 
 @dataclass(frozen=True)
@@ -208,10 +199,9 @@ def optimize_transition(
     """
     global _INNER_ERRORS
     xs, refs = reference_grid(interval, n_points, ctx)
-    key = _grid_key(interval, n_points, ctx)
     with ctx.workdps():
-        errors = _relative_errors(inner, key, xs, refs, ctx)
-        _INNER_ERRORS = (key, inner, errors)
+        errors = _relative_errors(inner, xs, refs, n_points, ctx)
+        _INNER_ERRORS = (xs, inner, errors)
         inner_abs = [abs(r) for r in errors]
         tail_abs = [abs(1 - 1 / ref) for ref in refs]
         cross = next((j for j, (e, t) in enumerate(zip(inner_abs, tail_abs)) if e >= t), None)
@@ -258,9 +248,7 @@ class EnvelopePair:
 
     def __post_init__(self):
         # exact, so no working precision rounds an eps_B just below 1 up to 1
-        e = self.eps_b
-        e = Fraction(e) if isinstance(e, (Fraction, int, str)) else mpf_to_fraction(e)
-        if not 0 < e < 1:
+        if not 0 < mpf_to_fraction(self.eps_b) < 1:
             raise ValueError("envelope requires 0 < eps_B < 1")
 
     def lower(self, x, ctx: PrecisionContext = CTX34):

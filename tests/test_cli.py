@@ -390,6 +390,25 @@ def test_apps_errors_leave_no_out_file(app, flags, message, tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize(
+    "app, flag, value",
+    [
+        ("power", "--order", "4"),
+        ("power", "--t-range", "0:1"),
+        ("harmonics", "--gamma", "0"),
+        ("filter", "--amplitude-range", "1:2"),
+    ],
+)
+def test_apps_reject_flags_of_another_app(app, flag, value, tmp_path, capsys):
+    # the flag used to be parsed and ignored: filter swept t over 0..3 and exited 0
+    out = tmp_path / "a.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("apps", app, flag, value, "--steps", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("app", ["power", "harmonics", "filter"])
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_apps_rejects_step_counts_below_one(app, steps, tmp_path):

@@ -140,6 +140,25 @@ def test_polyexp_eval_matches_direct():
         assert mp.almosteq(s.eval_raw(x), direct, rel_eps=mp.mpf("1e-35"))
 
 
+@pytest.mark.parametrize(
+    "x, exact",
+    [("0.1", F(1, 10)), (F(1, 3), F(1, 3)), (7, F(7)), (0.1, F(3602879701896397, 2**55))],
+    ids=["str", "fraction", "int", "float"],
+)
+def test_mpf_to_fraction_reads_other_numbers_exactly(x, exact):
+    # a str used to go through a 53-bit mp.mpf first
+    assert mpf_to_fraction(x) == exact
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf"), mp.nan, mp.inf, -mp.inf],
+)
+def test_mpf_to_fraction_rejects_nonfinite(x):
+    with pytest.raises(ValueError):
+        mpf_to_fraction(x)
+
+
 def test_mpf_to_fraction_exact():
     with mp.workdps(40):
         assert mpf_to_fraction(mp.mpf("0.5")) == F(1, 2)

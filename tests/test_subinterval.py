@@ -22,7 +22,7 @@ def per_cell_form(n, m):
     terms = []
     for i in range(m):
         for k in range(n + 1):
-            step = RationalPolynomial([2 * spline_coeff(n, k) / F(m) ** (k + 1)]).mul_x_power(k + 1)
+            step = RationalPolynomial([0] * (k + 1) + [2 * spline_coeff(n, k) / F(m) ** (k + 1)])
             for end, sign in ((i, 1), (i + 1, (-1) ** k)):
                 # p(k, end*x/m) by Horner in the polynomial end*x/m
                 p_end = RationalPolynomial()

@@ -6,7 +6,7 @@ import pytest
 from collections import Counter, OrderedDict
 
 from erfkit import transition
-from erfkit.exact import RationalPolynomial
+from erfkit.exact import RationalPolynomial, mpf_to_fraction
 from erfkit.oracle import CTX34, CTX70, erf_ref, sqrt_pi
 from erfkit.spline import SplineApproximant, build_spline
 from erfkit.transition import (
@@ -160,6 +160,15 @@ def test_envelope_checks_eps_b_exactly():
     for eps in (0, 1, F(1), "1", -F(1, 10**20), mp.mpf(-1), "nan", mp.nan, float("nan")):
         with pytest.raises(ValueError):
             EnvelopePair(build_spline(4), eps)
+
+
+def test_envelope_takes_a_float_eps_b_by_its_exact_value():
+    base = build_spline(4)
+    given, exact = envelope(base, 0.1), envelope(base, F(0.1))
+    assert given.bound_errors(CTX34) == exact.bound_errors(CTX34)
+    for x in ("0.3", 1, F(5, 2)):
+        assert given.lower(x, CTX34) == exact.lower(x, CTX34)
+        assert given.upper(x, CTX34) == exact.upper(x, CTX34)
 
 
 def test_envelope_collapses_with_tiny_eps():
@@ -327,11 +336,26 @@ def test_record_holds_one_grid(inner_errors, value_calls):
     inner = build_spline(4)
     optimize_transition(inner, (0, 5), 120, CTX34)
     optimize_transition(inner, (0, 6), 90, CTX34)
-    key, held, errors = transition._INNER_ERRORS
-    assert key[2:] == (90, CTX34) and held is inner and len(errors) == 90
+    grid, held, errors = transition._INNER_ERRORS
+    assert grid is reference_grid((0, 6), 90, CTX34)[0] and held is inner and len(errors) == 90
     value_calls.clear()
     sweep(PiecewiseApproximant(inner, mp.mpf(6)), (0, 5), 120, CTX34)
     assert value_calls[id(inner)] == 120  # the first grid's errors are gone
+
+
+def test_record_of_an_evicted_grid_is_not_reused(grid_cache, inner_errors, value_calls, monkeypatch):
+    # the recomputed grid is a new tuple, so the record no longer matches it
+    monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
+    inner = build_spline(4)
+    x_o = optimize_transition(inner, (0, 5), 60, CTX34).x_o
+    held = transition._INNER_ERRORS[0]
+    reference_grid((0, 6), 60, CTX34)  # 120 points: (0, 5] goes
+    value_calls.clear()
+    piece = PiecewiseApproximant(inner, x_o)
+    rep = sweep(piece, (0, 5), 60, CTX34)
+    assert rep.xs is not held and rep.xs == held
+    assert value_calls[id(inner)] == sum(1 for x in held if x <= x_o) > 0
+    assert rep.re == pointwise_errors(piece, (0, 5), 60, CTX34)
 
 
 def test_reference_grid_shares_equal_endpoints(grid_cache):
@@ -404,6 +428,34 @@ def test_piecewise_exact_x_o_sweeps_as_the_mpf(x_o, inner_errors):
     assert given.re == as_mpf.re and given.re_b == as_mpf.re_b
     with CTX34.workdps():  # x = x_o takes the inner
         assert given.re[6] == 1 - inner.value(mp.mpf(3.5), CTX34) / erf_ref(mp.mpf(3.5), CTX34)
+
+
+def _x_o_forms():
+    """x_o = 3.5, grid point 28 of (0, 5] with N = 40, in four forms, and one ulp either side."""
+    with CTX34.workdps():
+        on = mp.mpf(3.5)
+        ulp = mp.ldexp(1, mp.mag(on) - mp.mp.prec)
+        below, above = on - ulp, on + ulp
+    return {
+        "mpf": on, "fraction": F(7, 2), "float": 3.5, "str": "3.5",
+        "ulp-below": below, "ulp-below-fraction": mpf_to_fraction(below),
+        "ulp-above": above, "ulp-above-fraction": mpf_to_fraction(above),
+    }
+
+
+@pytest.mark.parametrize("with_record", [True, False], ids=["record", "no-record"])
+@pytest.mark.parametrize("form", sorted(_x_o_forms()))
+def test_piecewise_sweep_splits_exactly_at_x_o(form, with_record, inner_errors):
+    inner, x_o = build_spline(3), _x_o_forms()[form]
+    if with_record:
+        optimize_transition(inner, (0, 5), 40, CTX34)
+    piece = PiecewiseApproximant(inner, x_o)
+    rep = sweep(piece, (0, 5), 40, CTX34)
+    assert rep.re == pointwise_errors(piece, (0, 5), 40, CTX34)
+    with CTX34.workdps():  # grid point 28 (index 27) takes the inner unless x_o lies below it
+        inner_error = 1 - inner.value(rep.xs[27], CTX34) / erf_ref(rep.xs[27], CTX34)
+        assert (rep.re[27] == inner_error) == (not form.startswith("ulp-below"))
+        assert rep.re[28] == 1 - 1 / erf_ref(rep.xs[28], CTX34)
 
 
 @pytest.mark.parametrize("x_o", [F(7, 2), "3.5"], ids=["fraction", "str"])
