@@ -141,18 +141,6 @@ def harmonic_levels(a, k: int, ctx: PrecisionContext = CTX34):
         )
 
 
-def y4_power_quadrature(a, ctx: PrecisionContext = CTX34):
-    """Mean of y4^2 over a period: the total power carried by the harmonics."""
-    with ctx.workdps():
-        am = as_mpf(a)
-        two_pi = 2 * mp.pi
-
-        def f(t):
-            return _Y4.value(am * mp.sin(two_pi * t), ctx) ** 2
-
-        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, 256) * 2
-
-
 def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34):
     """Oracle for c_{4,k}/sqrt(T): sqrt(2) * integral over one period of y4 * sin(2 pi k t)."""
     if k % 2 == 0:

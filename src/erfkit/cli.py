@@ -30,7 +30,7 @@ from .apps import (
     output_power,
     output_power_quadrature,
 )
-from .exact import RationalPolynomial, as_mpf
+from .exact import as_mpf
 from .gauss import (
     ErfSeriesApproximant,
     RationalFunctionApproximant,
@@ -39,15 +39,16 @@ from .gauss import (
     build_gauss_h,
 )
 from .grids import covering_grid
-from .oracle import PrecisionContext
+from .oracle import OddApproximant, PrecisionContext
 from .render import (
     decimal_string,
     frac_str,
     mp_str,
+    parse_poly,
     parse_polyexp,
-    polyexp_payload,
-    polyexp_str,
+    payload_str,
     poly_str,
+    polyexp_payload,
 )
 from .spline import SplineApproximant, build_spline
 from .sqrtform import SqrtForm, build_sqrt
@@ -94,19 +95,20 @@ def _scaled(exact: dict, rendered: str) -> dict:
 
 
 def _spline_fields(approx, ctx) -> dict:
-    return _scaled({"terms": polyexp_payload(approx.form)}, "(%s)" % polyexp_str(approx.form))
+    terms = polyexp_payload(approx.form)
+    return _scaled({"terms": terms}, "(%s)" % payload_str(terms))
 
 
 def _series_fields(approx, ctx) -> dict:
-    base, tail = approx.base.form, approx.tail
-    exact = {"terms": polyexp_payload(base), "tail": tail.coeffs}
-    rendered = "(%s + %s)" % (polyexp_str(base), poly_str(tail))
+    terms, tail = polyexp_payload(approx.base.form), approx.tail
+    exact = {"terms": terms, "tail": tail.coeffs}
+    rendered = "(%s + %s)" % (payload_str(terms), poly_str(tail))
     return {"tail_terms": approx.tail_terms, **_scaled(exact, rendered)}
 
 
 def _sqrt_fields(approx, ctx) -> dict:
-    radicand = approx.radicand()
-    return _scaled({"radicand": polyexp_payload(radicand)}, "sqrt(%s)" % polyexp_str(radicand))
+    radicand = polyexp_payload(approx.radicand())
+    return _scaled({"radicand": radicand}, "sqrt(%s)" % payload_str(radicand))
 
 
 def _taylor_fields(approx, ctx) -> dict:
@@ -138,7 +140,7 @@ def _read_spline(payload) -> SplineApproximant:
 
 
 def _read_taylor(payload) -> TaylorApproximant:
-    return TaylorApproximant(payload["order"], RationalPolynomial(payload["coefficients"]))
+    return TaylorApproximant(payload["order"], parse_poly(payload["coefficients"]))
 
 
 def _read_grid(payload):
@@ -152,12 +154,12 @@ def _read_sqrt(payload) -> SqrtForm:
 
 
 def _read_series(payload) -> ErfSeriesApproximant:
-    base, tail = _read_spline(payload), RationalPolynomial(payload["tail"])
+    base, tail = _read_spline(payload), parse_poly(payload["tail"])
     return ErfSeriesApproximant(payload["order"], base, payload["tail_terms"], tail)
 
 
 def _read_gauss(payload) -> RationalFunctionApproximant:
-    num, den = (RationalPolynomial(payload[key]) for key in ("numerator", "denominator"))
+    num, den = (parse_poly(payload[key]) for key in ("numerator", "denominator"))
     return RationalFunctionApproximant(payload["order"], num, den)
 
 
@@ -212,13 +214,47 @@ def _open_out(path):
     return open(path, "w", newline=""), True
 
 
+_ENCODE = json.JSONEncoder(default=frac_str).encode  # Fractions travel as "num/den"
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')  # the bytes json.dumps copies as they are
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and not text.encode().translate(None, _PLAIN)
+
+
+def _json(value, pad: str = "\n"):
+    """The pieces of json.dumps(value, indent=2, default=frac_str), for str keys.
+
+    A string, or a list of strings, that needs no escapes (the formula, the "num/den"
+    coefficients) is copied whole instead of escaped character by character.
+    """
+    inner = pad + "  "
+    if type(value) is str and _plain(value):
+        yield from ('"', value, '"')
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "{") + inner + _ENCODE(key) + ": "
+            yield from _json(item, inner)
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        if all(type(s) is str for s in value) and _plain("".join(value)):
+            yield "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]"
+            return
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + inner
+            yield from _json(item, inner)
+        yield pad + "]"
+    else:
+        yield _ENCODE(value)
+
+
 def cmd_gen(args) -> int:
     ctx = PrecisionContext(args.digits)
     approx = build_approximant(args, ctx, args.interval or (Fraction(0), Fraction(8)))
     descriptor = {"family": args.family, "order": args.order, "digits": ctx.working_digits}
     payload = {"schema": SCHEMA, **descriptor, **FAMILIES[args.family].fields(approx, ctx)}
     out, close = _open_out(args.out)
-    json.dump(payload, out, indent=2, default=frac_str)  # Fractions travel as "num/den"
+    out.writelines(_json(payload))
     out.write("\n")
     if close:
         out.close()
@@ -229,6 +265,9 @@ def cmd_sweep(args) -> int:
     ctx = PrecisionContext(args.digits)
     interval = args.interval or (Fraction(0), Fraction(5))
     approx = build_approximant(args, ctx, interval)
+    if not isinstance(approx, OddApproximant):  # g_n and h_n; their sweep is tables.gauss_sweep
+        msg = "--family %s approximates e^(-x^2), not erf; see erfkit table 9"
+        raise ValueError(msg % args.family)
     if args.transition == "auto":
         approx, _ = improved(approx, interval, args.points, ctx)
     elif args.transition not in (None, "none"):

@@ -1,14 +1,15 @@
 """Exact rational algebra behind every generated approximant.
 
-All coefficient generation happens in Fraction arithmetic so the very large
-table denominators (1e13 and beyond) are produced, not transcribed. Floating
-point enters only through evaluation: each polynomial's ``plan`` rounds its
-coefficients once per binary precision, and one Horner kernel (``horner``)
-evaluates every polynomial and poly-exp sum on Python-int (mantissa,
-exponent) pairs. It rounds the same operations in the same order as the mpf
-Horner loop it replaced, so every value is that loop's value bit for bit.
-The one rounding rule, half to even as mpf arithmetic rounds (``_rounded``),
-is written out inline in the two hot loops: ``horner`` and the erf oracle's.
+Generators sum integer numerators and build each coefficient's Fraction once,
+so the very large table denominators (1e13 and beyond) are produced, not
+transcribed. Floating point enters only through evaluation: each polynomial's
+``plan`` rounds its coefficients once per binary precision, and one Horner
+kernel (``horner``) evaluates every polynomial and poly-exp sum on Python-int
+(mantissa, exponent) pairs. It rounds the same operations in the same order as
+the mpf Horner loop it replaced, so every value is that loop's value bit for
+bit. The one rounding rule, half to even as mpf arithmetic rounds
+(``_rounded``), is written out inline in the two hot loops: ``horner`` and the
+erf oracle's.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs", "_plans")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -285,6 +286,7 @@ def _to_mpf(parts: tuple, prec: int):
     return mp.make_mpf(from_man_exp(parts[0], parts[1], prec, round_nearest))
 
 
+ZERO = Fraction(0)
 ZERO_POLY = RationalPolynomial()
 X_POLY = RationalPolynomial([0, 1])
 
@@ -302,7 +304,7 @@ class PolyExpSum:
     def __init__(self, terms=()):
         acc = {}
         for rate, poly in terms:
-            rate = rate if isinstance(rate, Fraction) else Fraction(rate)
+            rate = rate if type(rate) is Fraction else Fraction(rate)
             if rate < 0:
                 raise ValueError("negative decay rate %s" % rate)
             if not isinstance(poly, RationalPolynomial):
@@ -424,7 +426,9 @@ def integrate_odd(s: PolyExpSum) -> PolyExpSum:
     The k=0 part integrates to an even polynomial. Under exp(-k x^2) the
     integral of an odd P is Q(x)exp(-k x^2) - Q(0) with Q even and
     P = Q' - 2k x Q, which fixes Q from the top coefficient down in one pass:
-    b_2i = ((2i+2) b_(2i+2) - a_(2i+1)) / (2k). Raises ValueError when a term
+    b_2i = ((2i+2) b_(2i+2) - a_(2i+1)) / (2k). For k = p/q, step s keeps b_2i
+    as B / (L (2p)^s), L the lcm of the a denominators, with the integer
+    B = ((2i+2) B' - L a_(2i+1) (2p)^(s-1)) q. Raises ValueError when a term
     carries an even power (no closed form here).
     """
     parts = []
@@ -439,25 +443,27 @@ def integrate_odd(s: PolyExpSum) -> PolyExpSum:
             raise ValueError(
                 "even power under exp(-%s x^2): no closed form in this algebra" % rate
             )
-        a = poly.coeffs
-        q = [Fraction(0)] * len(a)
-        b = Fraction(0)
+        lcm = math.lcm(*(c.denominator for c in poly.coeffs))
+        a = [c.numerator * (lcm // c.denominator) for c in poly.coeffs]
+        out, big, power = [ZERO] * len(a), 0, 1
         for j in range(len(a) - 2, -1, -2):
-            b = q[j] = ((j + 2) * b - a[j + 1]) / (2 * rate)
-        constant -= b
-        parts.append((rate, RationalPolynomial(q)))
+            big = ((j + 2) * big - a[j + 1] * power) * rate.denominator
+            power *= 2 * rate.numerator
+            if big:
+                out[j] = Fraction(big, lcm * power)
+        constant -= out[0]
+        parts.append((rate, RationalPolynomial(out)))
     if constant:
         parts.append((Fraction(0), RationalPolynomial([constant])))
     return PolyExpSum(parts)
 
 
 def spline_coeff(n: int, k: int) -> Fraction:
-    """Two-point spline quadrature weight c_{n,k} = n!/[(n-k)!(k+1)!] * (2n+1-k)!/[2(2n+1)!]."""
+    """Two-point spline quadrature weight c_{n,k} = (2n+1-k)! C(n+1, k+1) / [2 (n+1) (2n+1)!]."""
     if not 0 <= k <= n:
         raise ValueError("spline_coeff requires 0 <= k <= n, got (%d, %d)" % (n, k))
-    return Fraction(
-        math.factorial(n), math.factorial(n - k) * math.factorial(k + 1)
-    ) * Fraction(math.factorial(2 * n + 1 - k), 2 * math.factorial(2 * n + 1))
+    num = math.factorial(2 * n + 1 - k) * math.comb(n + 1, k + 1)
+    return Fraction(num, 2 * (n + 1) * math.factorial(2 * n + 1))
 
 
 _hermite_rows = [RationalPolynomial([1])]

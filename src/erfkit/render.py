@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import PolyExpSum, RationalPolynomial, mpf_to_fraction
+from .exact import ZERO, PolyExpSum, RationalPolynomial, mpf_to_fraction
 
 
 def decimal_string(value, sig_digits: int) -> str:
@@ -54,84 +54,83 @@ def decimal_string(value, sig_digits: int) -> str:
 
 
 def frac_str(q: Fraction) -> str:
-    """Lossless 'num/den' form used in JSON payloads."""
-    q = Fraction(q)
-    return "%d/%d" % (q.numerator, q.denominator)
+    """Lossless 'num/den' form used in JSON payloads, of a Fraction or an int (lowest terms)."""
+    return "%d/%d" % q.as_integer_ratio()
 
 
 def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+    """The Fraction of a payload's "num/den" string (frac_str's form) or integer string."""
+    return Fraction(*map(int, s.split("/", 1)))
 
 
-def _coeff_piece(c: Fraction, power: int) -> str:
-    mag = abs(c)
-    if power == 0:
-        return str(mag)
-    xs = "x" if power == 1 else "x^%d" % power
-    if mag == 1:
-        return xs
-    return "%s %s" % (mag, xs)
+def coeff_strs(poly: RationalPolynomial) -> list:
+    """The "num/den" payload strings of a polynomial's coefficients, lowest power first."""
+    return [frac_str(c) if c else "0/1" for c in poly.coeffs]
 
 
-def poly_str(poly: RationalPolynomial, wrap: bool = False) -> str:
-    """Readable polynomial like 'x - 1/30 x^3'; optionally parenthesized."""
-    if not poly:
-        return "0"
-    pieces = []
-    for power, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        piece = _coeff_piece(c, power)
-        if not pieces:
-            pieces.append("-" + piece if c < 0 else piece)
-        else:
-            pieces.append(("- " if c < 0 else "+ ") + piece)
-    out = " ".join(pieces)
-    if wrap and len([c for c in poly.coeffs if c]) > 1:
-        return "(%s)" % out
+def _pieces(coeffs: list) -> list:
+    """(negative, |term|) of each nonzero "num/den" coefficient string, lowest power first."""
+    out = []
+    for power, s in enumerate(coeffs):
+        if s != "0/1":
+            mag = s.removeprefix("-").removesuffix("/1")
+            if power:
+                xs = "x^%d" % power if power > 1 else "x"
+                mag = xs if mag == "1" else "%s %s" % (mag, xs)
+            out.append((s[0] == "-", mag))
     return out
 
 
-def _exp_str(rate: Fraction) -> str:
-    if rate == 1:
-        return "e^(-x^2)"
-    return "e^(-%s x^2)" % rate
+def _join(pieces: list, flip: bool = False) -> str:
+    """Signed pieces as 'a - b + c', every sign flipped if flip."""
+    out = []
+    for negative, piece in pieces:
+        if negative != flip:
+            out.append("- " + piece if out else "-" + piece)
+        else:
+            out.append("+ " + piece if out else piece)
+    return " ".join(out)
+
+
+def poly_str(poly: RationalPolynomial) -> str:
+    """Readable polynomial like 'x - 1/30 x^3'."""
+    return _join(_pieces(coeff_strs(poly))) or "0"
 
 
 def polyexp_str(form: PolyExpSum) -> str:
     """Readable poly-exp sum, e.g. 'x - 1/30 x^3 + (x + ...) e^(-x^2)'."""
-    pieces = []
-    for rate, poly in form.terms:
-        if rate == 0:
-            body = poly_str(poly)
-            negative = False
+    return payload_str(polyexp_payload(form))
+
+
+def payload_str(terms: list) -> str:
+    """polyexp_str of a polyexp_payload list, printed from its strings."""
+    out = []
+    for term in terms:
+        rate, pieces = term["rate"], _pieces(term["coefficients"])
+        exp = "e^(-x^2)" if rate == "1/1" else "e^(-%s x^2)" % rate.removesuffix("/1")
+        negative = rate != "0/1" and all(neg for neg, _ in pieces)  # shown with its sign outside
+        if rate == "0/1":
+            body = _join(pieces)
+        elif len(pieces) == 1:
+            piece = pieces[0][1]
+            body = (piece + " " if piece != "1" else "") + exp
         else:
-            nonzero = [c for c in poly.coeffs if c]
-            negative = all(c < 0 for c in nonzero)
-            shown = -poly if negative else poly
-            if len(nonzero) == 1:
-                power = max(i for i, c in enumerate(shown.coeffs) if c)
-                c = shown.coeffs[power]
-                lead = "" if (c == 1 and power == 0) else _coeff_piece(c, power) + " "
-                body = "%s%s" % (lead, _exp_str(rate))
-            else:
-                body = "%s %s" % (poly_str(shown, wrap=True), _exp_str(rate))
-        if not pieces:
-            pieces.append(("-" + body) if negative else body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+            body = "(%s) %s" % (_join(pieces, negative), exp)
+        out.append((negative, body))
+    return _join(out)
 
 
 def polyexp_payload(form: PolyExpSum) -> list:
-    return [
-        {"rate": frac_str(rate), "coefficients": [frac_str(c) for c in poly.coeffs]}
-        for rate, poly in form.terms
-    ]
+    return [{"rate": frac_str(rate), "coefficients": coeff_strs(poly)} for rate, poly in form.terms]
+
+
+def parse_poly(strs: list) -> RationalPolynomial:
+    """The polynomial of a payload's coefficient strings; every "0/1" shares one Fraction."""
+    return RationalPolynomial([ZERO if s == "0/1" else parse_frac(s) for s in strs])
 
 
 def parse_polyexp(payload: list) -> PolyExpSum:
-    return PolyExpSum((t["rate"], t["coefficients"]) for t in payload)
+    return PolyExpSum((parse_frac(t["rate"]), parse_poly(t["coefficients"])) for t in payload)
 
 
 def mp_str(x, digits: int) -> str:

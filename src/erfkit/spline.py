@@ -19,6 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import (
+    ZERO,
     PolyExpSum,
     RationalPolynomial,
     as_mpf,
@@ -51,22 +52,24 @@ def spline_form(n: int, m: int) -> PolyExpSum:
     Each endpoint t = j/m is walked once. Term k carries weight 1 there as a
     left end (j < m) and (-1)^k as a right end (j > 0), so interior odd-k
     terms cancel; the Hermite coefficient a_i of p(k, t x) contributes
-    2 c_{n,k} a_i t^i / m^(k+1) to the power i+k+1 under e^(-t^2 x^2).
+    2 c_{n,k} a_i t^i / m^(k+1) = N_k a_i j^i / (D m^(i+k+1)) to the power i+k+1 under
+    e^(-t^2 x^2). With D = (n+1)(2n+1)! every N_k = 2 c_{n,k} D is an integer, so
+    numerators are summed as ints and each coefficient is one Fraction.
     """
-    table = hermite_table(n)
-    scales = [2 * spline_coeff(n, k) / Fraction(m) ** (k + 1) for k in range(n + 1)]
+    dens = [(n + 1) * math.factorial(2 * n + 1) * m**p for p in range(2 * n + 2)]  # D m^p
+    scales = [int(2 * spline_coeff(n, k) * dens[0]) for k in range(n + 1)]  # the N_k
+    rows = [[s * a.numerator for a in p.coeffs] for s, p in zip(scales, hermite_table(n))]
     terms = []
     for j in range(m + 1):
-        t = Fraction(j, m)
-        t_pow = [t**i for i in range(n + 1)]
-        coeffs = [Fraction(0)] * (2 * n + 2)
-        for k, scale in enumerate(scales):
+        j_pow = [j**i for i in range(n + 1)]
+        nums = [0] * (2 * n + 2)
+        for k, row in enumerate(rows):
             weight = (j < m) + (j > 0) * (-1) ** k
             if weight:
-                for i, a in enumerate(table[k].coeffs):
-                    if a and t_pow[i]:
-                        coeffs[i + k + 1] += weight * scale * a * t_pow[i]
-        terms.append((t * t, coeffs))
+                for i, a in enumerate(row, k + 1):
+                    nums[i] += weight * a * j_pow[i - k - 1]
+        coeffs = [Fraction(num, den) if num else ZERO for num, den in zip(nums, dens)]
+        terms.append((Fraction(j * j, m * m), RationalPolynomial(coeffs)))
     return PolyExpSum(terms)
 
 

@@ -156,12 +156,14 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
 
 @dataclass(frozen=True)
 class PiecewiseApproximant(OddApproximant):
-    """Inner approximant switched to the constant 1 beyond x_o (odd overall)."""
+    """Inner odd approximant switched to the constant 1 beyond x_o (odd overall)."""
 
-    inner: object
+    inner: OddApproximant
     x_o: object
 
     def __post_init__(self):
+        if not isinstance(self.inner, OddApproximant):
+            raise ValueError("inner must be an OddApproximant, got %r" % (self.inner,))
         try:
             bound = mpf_to_fraction(self.x_o)
         except (TypeError, ValueError) as exc:
@@ -169,7 +171,7 @@ class PiecewiseApproximant(OddApproximant):
         object.__setattr__(self, "_bound", bound)
 
     def positive(self, xm, ctx: PrecisionContext):
-        return self.inner.value(xm, ctx) if mpf_to_fraction(xm) <= self._bound else mp.mpf(1)
+        return self.inner.positive(xm, ctx) if mpf_to_fraction(xm) <= self._bound else mp.mpf(1)
 
 
 @dataclass(frozen=True)

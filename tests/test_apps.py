@@ -4,7 +4,9 @@ import mpmath as mp
 import pytest
 
 from erfkit.apps import (
+    _Y4,
     FilterModel,
+    _periodic_trapezoid,
     arbitrate_harmonics,
     filter_convolution_oracle,
     filter_response_approx,
@@ -14,6 +16,7 @@ from erfkit.apps import (
     output_power,
     output_power_quadrature,
 )
+from erfkit.exact import as_mpf
 from erfkit.oracle import CTX34, PrecisionContext, erf_ref
 from erfkit.spline import build_spline
 from erfkit.transition import PiecewiseApproximant, improved
@@ -97,10 +100,20 @@ def test_fifth_harmonic_small_a_cancellation():
         assert mp.almosteq(ratio, mp.mpf(32), rel_eps=mp.mpf("0.01"))
 
 
+def y4_power_quadrature(a, ctx: PrecisionContext = CTX34):
+    """Mean of y4^2 over a period: the total power carried by the harmonics."""
+    with ctx.workdps():
+        am = as_mpf(a)
+        two_pi = 2 * mp.pi
+
+        def f(t):
+            return _Y4.value(am * mp.sin(two_pi * t), ctx) ** 2
+
+        return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, 256) * 2
+
+
 def test_parseval_gap():
     # first four odd harmonics carry nearly all of the y4 signal's power
-    from erfkit.apps import y4_power_quadrature
-
     with CTX34.workdps():
         for a in ("1", "2"):
             am = mp.mpf(a)

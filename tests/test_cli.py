@@ -5,6 +5,7 @@ import json
 import io
 import warnings
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -18,8 +19,9 @@ from erfkit import (
     build_subinterval,
     taylor,
 )
-from erfkit.cli import main, parse_gen_payload
+from erfkit.cli import _json, main, parse_gen_payload
 from erfkit.oracle import CTX34, erf_ref
+from erfkit.render import frac_str
 from erfkit.tables import parse_rows, reproduce_table
 
 
@@ -98,6 +100,23 @@ def test_gen_grid_payload_does_not_roundtrip():
         parse_gen_payload(json.loads(out))
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": "plain text", "b": ["1/2", "-3/4"], "c": [], "d": {}, "e": 7, "f": Fraction(-5, 3)},
+        {"quote": ['say "x"', "y"], "slash": ["a\\b"], "tab": ["a\tb"], "del": ["a\x7fb"]},
+        {"accent": ["\u00e9"], "lists": [["1/2", "3/4"], ["x", 'y"'], [Fraction(1, 2), 2]]},
+        {"terms": [{"rate": "0/1", "coefficients": ["0/1", "1/1"]}], "tuple": ("a", "b")},
+        {"flags": [True, False, None, 0.5], "tail": (Fraction(1, 3), Fraction(-2, 7))},
+        [],
+        "top",
+    ],
+    ids=["plain", "escaped", "nested", "payload-shape", "scalars", "empty", "string"],
+)
+def test_json_writer_is_json_dumps(value):
+    assert "".join(_json(value)) == json.dumps(value, indent=2, default=frac_str)
+
+
 # sha256 of ``erfkit gen`` stdout for the families perfbench/golden.json does
 # not pin, so any change to their JSON bytes shows here.
 GEN_PINS = {
@@ -174,6 +193,26 @@ def test_gen_order_out_of_range_is_a_usage_error(argv, message, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli("gen", "--family", *argv)
     assert exc.value.code == "erfkit gen: " + message
+
+
+@pytest.mark.parametrize("family", ["gauss_g", "gauss_h"])
+@pytest.mark.parametrize("transition", [None, "2", "auto"], ids=["plain", "x_o=2", "auto"])
+def test_sweep_of_a_gaussian_family_is_a_usage_error(family, transition, tmp_path, monkeypatch):
+    # g_n and h_n approximate e^(-x^2); an erf sweep of them would print meaningless errors
+    def no_oracle(*args):
+        raise AssertionError("the erf oracle was called for an e^(-x^2) family")
+
+    monkeypatch.setattr("erfkit.transition.erf_ref", no_oracle)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--family", family, "--order", "4", "--points", "3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *(["--transition", transition] if transition else []))
+    # a str SystemExit code is printed to stderr and exits with status 1
+    assert exc.value.code == (
+        "erfkit sweep: --family %s approximates e^(-x^2), not erf; see erfkit table 9"
+        % family
+    )
+    assert not out.exists()
 
 
 def test_sweep_bad_grid_is_a_usage_error(tmp_path):

@@ -12,7 +12,10 @@ from erfkit.exact import (
     mpf_to_fraction,
     spline_coeff,
 )
+from erfkit.render import frac_str, parse_frac, polyexp_str
 from erfkit.spline import spline_form
+from erfkit.sqrtform import sqrt_transform
+from generation_reference import integrate_odd_fractions
 from hermite_reference import hermite_at_zero, hermite_explicit
 
 import mpmath as mp
@@ -166,3 +169,84 @@ def test_mpf_to_fraction_exact():
         x = mp.mpf("0.1")  # not exactly 1/10 in binary; conversion must be exact anyway
         q = mpf_to_fraction(x)
         assert mp.mpf(q.numerator) / q.denominator == x
+
+
+SQRT_BASES = {**{"f_%d" % n: (n, 1) for n in range(33)}, "f_16,16": (16, 16), "f_32,8": (32, 8)}
+
+
+@pytest.mark.parametrize("n, m", list(SQRT_BASES.values()), ids=list(SQRT_BASES))
+def test_integrate_odd_equals_the_fraction_loop_on_sqrt_radicands(n, m):
+    base = spline_form(n, m)
+    driving = PolyExpSum([(rate + 1, 4 * poly) for rate, poly in base.terms])
+    expected = integrate_odd_fractions(driving)
+    assert integrate_odd(driving) == expected
+    assert sqrt_transform(base, n).radicand() == expected
+
+
+def test_integrate_odd_equals_the_fraction_loop_on_mixed_denominators():
+    s = PolyExpSum(
+        [
+            (0, [0, F(1, 3)]),
+            (F(3, 7), [0, F(-5, 6), 0, F(7, 10), 0, 3]),
+            (F(5, 2), [0, 1, 0, 0, 0, F(-1, 9)]),
+            (12, [0, F(2, 15)]),
+        ]
+    )
+    assert integrate_odd(s) == integrate_odd_fractions(s)
+
+
+class _Sub(F):
+    """A Fraction subclass, as a caller might pass one."""
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, F(3)), (-2, F(-2)), (True, F(1)), (False, F(0)), (_Sub(6, -4), F(-3, 2)),
+     (F(7, 9), F(7, 9))],
+    ids=["int", "negative-int", "true", "false", "fraction-subclass", "fraction"],
+)
+def test_polynomials_and_frac_str_take_int_bool_and_fraction_subclasses(value, expected):
+    poly = RationalPolynomial([1, value, F(1, 2)])
+    assert poly == RationalPolynomial([1, expected, F(1, 2)])
+    assert all(type(c) is F for c in poly.coeffs)
+    ratio = "%d/%d" % (expected.numerator, expected.denominator)
+    assert frac_str(value) == frac_str(expected) == ratio
+
+
+@pytest.mark.parametrize("q", [F(0), F(1, 2), F(-3, 4), F(7), F(-2), F(10**40 + 1, 3**60)])
+def test_parse_frac_reads_frac_str(q):
+    assert parse_frac(frac_str(q)) == q and type(parse_frac(frac_str(q))) is F
+
+
+@pytest.mark.parametrize(
+    "text, q", [("5", F(5)), ("-7", F(-7)), ("10/20", F(1, 2)), ("-0/9", F(0))]
+)
+def test_parse_frac_reads_integers_and_reduces(text, q):
+    assert parse_frac(text) == q
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "abc", "", "/3", "3/", "1/2/3", "1//2", "1/0"])
+def test_parse_frac_rejects_other_forms(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        parse_frac(text)
+
+
+@pytest.mark.parametrize(
+    "terms, text",
+    [
+        ([(0, [1])], "1"),
+        ([(1, [-1])], "-e^(-x^2)"),
+        ([(F(1, 3), [0, -1])], "-x e^(-1/3 x^2)"),
+        ([(2, [0, 0, F(-3, 7)])], "-3/7 x^2 e^(-2 x^2)"),
+        (
+            [(0, [F(-1, 2), 0, 3]), (1, [-1, 0, -2]), (F(5, 4), [1, -1]), (7, [0, 1])],
+            "-1/2 + 3 x^2 - (1 + 2 x^2) e^(-x^2) + (1 - x) e^(-5/4 x^2) + x e^(-7 x^2)",
+        ),
+        (
+            [(1, [-2]), (2, [2]), (3, [1, 0, 1]), (4, [-1, 0, -1])],
+            "-2 e^(-x^2) + 2 e^(-2 x^2) + (1 + x^2) e^(-3 x^2) - (1 + x^2) e^(-4 x^2)",
+        ),
+    ],
+)
+def test_polyexp_str_signs_units_and_single_terms(terms, text):
+    assert polyexp_str(PolyExpSum(terms)) == text

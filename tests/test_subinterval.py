@@ -5,9 +5,10 @@ import pytest
 
 from erfkit.exact import PolyExpSum, RationalPolynomial, spline_coeff
 from erfkit.oracle import CTX34
-from erfkit.spline import build_interval_spline, build_spline
+from erfkit.spline import build_interval_spline, build_spline, spline_form
 from erfkit.subinterval import build_subinterval
 from erfkit.transition import optimize_transition
+from generation_reference import spline_form_fractions
 from hermite_reference import hermite_explicit
 
 
@@ -37,6 +38,20 @@ def test_generator_equals_per_cell_sum(n):
     for m in range(1, 7):
         assert build_subinterval(n, m).form == per_cell_form(n, m), m
     assert build_spline(n).form == per_cell_form(n, 1)
+
+
+@pytest.mark.parametrize("n, m", [(16, 16), (32, 2), (32, 8), (12, 64), (0, 64), (1, 64), (24, 1)])
+def test_generator_equals_per_cell_sum_at_the_corners(n, m):
+    assert build_subinterval(n, m).form == per_cell_form(n, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 16, 63, 64])
+def test_integer_generator_equals_the_fraction_loop(m):
+    # the integer-numerator generator against the Fraction-per-step loop it replaced
+    for n in range(33) if m <= 16 else (0, 1, 2, 15, 16, 31, 32):
+        form = spline_form(n, m)
+        assert form == spline_form_fractions(n, m), n
+        assert all(type(c) is F for _, poly in form.terms for c in poly.coeffs), n
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -8,7 +8,9 @@ from collections import Counter, OrderedDict
 from erfkit import transition
 from erfkit.exact import RationalPolynomial, mpf_to_fraction
 from erfkit.oracle import CTX34, CTX70, erf_ref, sqrt_pi
+from erfkit.gauss import build_gauss_g
 from erfkit.spline import SplineApproximant, build_spline
+from erfkit.subinterval import build_subinterval
 from erfkit.transition import (
     EnvelopePair,
     PiecewiseApproximant,
@@ -417,6 +419,32 @@ def test_piecewise_converts_x_at_working_precision():
     # "0.1" must be rounded at the working precision, not at 53 bits first
     inner = build_spline(4)
     assert PiecewiseApproximant(inner, 2).value("0.1", CTX34) == inner.value("0.1", CTX34)
+
+
+@pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])
+@pytest.mark.parametrize("build", [lambda: build_spline(4), lambda: build_subinterval(4, 4)],
+                         ids=["spline", "subinterval"])
+def test_piecewise_calls_the_inner_branch_bit_for_bit(build, ctx):
+    inner = build()
+    piece = PiecewiseApproximant(inner, F(19, 8))  # x_o = 2.375, exact in binary
+    with ctx.workdps():
+        x_o = mp.mpf(2.375)
+        ulp = mp.ldexp(1, mp.mag(x_o) - mp.mp.prec)
+        below, above = x_o - ulp, x_o + ulp
+    for x in ("0.1", "1.5", below, x_o, "-2.3"):  # every |x| <= x_o takes the inner
+        assert piece.value(x, ctx) == inner.value(x, ctx), x
+    for x in (above, "2.4", 7, "-2.4"):
+        assert abs(piece.value(x, ctx)) == 1, x
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [erf_ref, RationalPolynomial([0, 1]), build_gauss_g(4), None],
+    ids=["function", "polynomial", "gauss_g", "none"],
+)
+def test_piecewise_rejects_an_inner_that_is_not_odd_approximant(inner):
+    with pytest.raises(ValueError, match="inner must be an OddApproximant"):
+        PiecewiseApproximant(inner, 2)
 
 
 # x_o = 3.5 is grid point 7 of (0, 5] with N = 10, between grid points 3 and 4
