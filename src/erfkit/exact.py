@@ -9,7 +9,8 @@ kernel (``horner``) evaluates every polynomial and poly-exp sum on Python-int
 the mpf Horner loop it replaced, so every value is that loop's value bit for
 bit. The one rounding rule, half to even as mpf arithmetic rounds
 (``_rounded``), is written out inline in the two hot loops: ``horner`` and the
-erf oracle's.
+erf oracle's. The kernels take u = x*x (and a poly-exp sum its exponentials)
+from the caller, so a sweep forms them once per point, or once per grid.
 """
 
 from __future__ import annotations
@@ -177,10 +178,6 @@ class RationalPolynomial:
             self._plans[prec] = cached
         return cached
 
-    def eval_mpf(self, x):
-        """Horner evaluation at the current mpmath precision (see ``eval_polys``)."""
-        return eval_polys((self,), x)[0]
-
 
 def _rounded(m: int, e: int, prec: int) -> tuple:
     """m * 2^e (m signed) rounded once to prec bits, half to even; trailing zeros are kept."""
@@ -243,11 +240,11 @@ def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
     return m, e
 
 
-def _finite_parts(x) -> tuple:
-    """(signed mantissa, exponent) of an mpf; NaN and infinities raise ValueError."""
-    sign, man, exp, _ = x._mpf_
+def _finite_parts(t: tuple) -> tuple:
+    """(signed mantissa, exponent) of an ``_mpf_`` tuple; NaN and infinities raise ValueError."""
+    sign, man, exp, _ = t
     if not man and exp:
-        raise ValueError("expected a finite number, got %r" % x)
+        raise ValueError("expected a finite number, got %r" % mp.make_mpf(t))
     return (-man if sign else man), exp
 
 
@@ -262,23 +259,27 @@ def _plan_at(plan: tuple, xm: int, xe: int, u: tuple, prec: int) -> tuple:
     return _rounded(m * xm, e + xe, prec) if mode == "odd" else (m, e)
 
 
-def poly_values(polys, x, prec: int) -> list:
-    """``_mpf_`` values of several polynomials at the mpf x, at binary precision prec.
+def poly_values(polys, t: tuple, u: tuple, prec: int) -> list:
+    """``_mpf_`` values of several polynomials at x = t (an ``_mpf_``), at binary precision prec.
 
-    u = x*x is rounded once and shared. Each value is that of the mpf Horner
-    loop acc = acc*u + c (times x for odd polynomials, in x itself for mixed
-    parity) from acc = 0, bit for bit.
+    u is x*x rounded at prec, formed once by the caller and shared. Each value
+    is that of the mpf Horner loop acc = acc*u + c (times x for odd
+    polynomials, in x itself for mixed parity) from acc = 0, bit for bit.
     """
-    xm, xe = _finite_parts(x)
-    u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
+    xm, xe = _finite_parts(t)
     return [
         from_man_exp(*_plan_at(p.plan(prec), xm, xe, u, prec), prec, round_nearest) for p in polys
     ]
 
 
-def eval_polys(polys, x) -> tuple:
-    """``poly_values`` as mpf at the current mpmath precision, with x converted by mp.mpf."""
-    return tuple(map(mp.make_mpf, poly_values(polys, mp.mpf(x), mp.mp.prec)))
+def exp_parts(negk, u: tuple, prec: int):
+    """(mantissa, exponent) of e^(-k u): ``mpf_exp`` of the rounded product -k*u, as mp.exp(-k*u).
+
+    negk is -k rounded at prec (``PolyExpSum.plan``); None, the k = 0 term, gives None.
+    """
+    if negk is None:
+        return None
+    return mpf_exp(mpf_mul(negk, u, prec, round_nearest), prec, round_nearest)[1:3]
 
 
 def _to_mpf(parts: tuple, prec: int):
@@ -372,33 +373,39 @@ class PolyExpSum:
             self._plans[prec] = cached
         return cached
 
-    def _sum_at(self, x, plans) -> tuple:
-        """(mantissa, exponent) of sum_i P_i(x) e^(-k_i u) for per-term polynomial plans.
+    def _sum_at(self, plans, t: tuple, u: tuple, exps, prec: int) -> tuple:
+        """(mantissa, exponent) of sum_i P_i(x) e^(-k_i u) at x = t (an ``_mpf_``): the one kernel.
 
-        u = x*x is rounded once; each e^(-k u) is ``mpf_exp`` of the rounded
-        product -k*u (what mp.exp(-k*u) computes); every product and the
-        running sum are rounded as the mpf loop rounds them.
+        plans are per-term polynomial plans (``plan``), u is x*x rounded at
+        prec and exps holds, per term, e^(-k u) as ``exp_parts`` gives it (None
+        for k = 0). Every product and the running sum are rounded as the mpf
+        loop rounds them. ``eval_raw`` is the one-point call; a sweep passes u
+        and exps formed once per point and per grid.
         """
-        prec = mp.mp.prec
-        xm, xe = _finite_parts(x)
-        u = mpf_mul(x._mpf_, x._mpf_, prec, round_nearest)
+        xm, xe = _finite_parts(t)
         parts = [(0, 0, 0)]
-        for negk, plan in plans:
+        for (_, plan), ex in zip(plans, exps):
             m, e = _plan_at(plan, xm, xe, u, prec)
-            if negk is not None and m:
-                _, em, ee, _ = mpf_exp(mpf_mul(negk, u, prec, round_nearest), prec, round_nearest)
-                m, e = _rounded(m * em, e + ee, prec)
+            if ex is not None and m:
+                m, e = _rounded(m * ex[0], e + ex[1], prec)
             parts.append((m, e, e + m.bit_length()))
         return horner(parts, 1, 0, prec)
+
+    def _sum_mpf(self, plans, x):
+        """``_sum_at`` at the mpf x as an mpf at the current precision, u and exps formed here."""
+        prec = mp.mp.prec
+        t = x._mpf_
+        u = mpf_mul(t, t, prec, round_nearest)
+        exps = [exp_parts(negk, u, prec) for negk, _ in plans]
+        return _to_mpf(self._sum_at(plans, t, u, exps, prec), prec)
 
     def eval_raw(self, x):
         """Evaluate the stored sum (no prefactor) at current precision.
 
         Bit for bit the mpf loop acc += p_i(x) * mp.exp(-k_i * u) from acc = 0,
-        with each p_i(x) as ``RationalPolynomial.eval_mpf`` gives it.
+        with each p_i(x) the mpf Horner loop's value (``RationalPolynomial.plan``).
         """
-        prec = mp.mp.prec
-        return _to_mpf(self._sum_at(mp.mpf(x), self.plan(prec)), prec)
+        return self._sum_mpf(self.plan(mp.mp.prec), mp.mpf(x))
 
     def cancellation_digits(self, x):
         """Decimal digits the sum loses to cancellation at x: log10(sum_i |p_i|(|x|) e^(-k_i x^2) / |value|).
@@ -408,12 +415,11 @@ class PolyExpSum:
         0 where both sums are 0; infinite where only the value is.
         """
         x = abs(mp.mpf(x))
-        prec = mp.mp.prec
         absolute = tuple(
             (negk, (mode, tuple((abs(m), e, top) for m, e, top in coeffs)))
-            for negk, (mode, coeffs) in self.plan(prec)
+            for negk, (mode, coeffs) in self.plan(mp.mp.prec)
         )
-        bound = _to_mpf(self._sum_at(x, absolute), prec)
+        bound = self._sum_mpf(absolute, x)
         value = abs(self.eval_raw(x))
         if not bound:
             return mp.mpf(0)

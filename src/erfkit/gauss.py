@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
-from mpmath.libmp import mpf_div, round_nearest
+from mpmath.libmp import mpf_div, mpf_mul, round_nearest
 
 from .exact import PolyExpSum, RationalPolynomial, as_mpf, poly_values, spline_coeff
 from .oracle import CTX34, PrecisionContext
@@ -37,12 +37,21 @@ class RationalFunctionApproximant:
     numerator: RationalPolynomial
     denominator: RationalPolynomial
 
+    def quotient(self, t: tuple, u: tuple, prec: int) -> tuple:
+        """``_mpf_`` of numerator(x) / denominator(x) at x = t (an ``_mpf_``), u = x*x rounded at prec.
+
+        The one kernel of ``value`` and ``tables.gauss_sweep``: both
+        polynomials share u, and the quotient is rounded once.
+        """
+        num, den = poly_values((self.numerator, self.denominator), t, u, prec)
+        return mpf_div(num, den, prec, round_nearest)
+
     def value(self, x, ctx: PrecisionContext = CTX34):
         """numerator(x) / denominator(x), the quotient rounded once at the working precision."""
         with ctx.workdps():
             prec = mp.mp.prec
-            num, den = poly_values((self.numerator, self.denominator), as_mpf(x), prec)
-            return mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+            t = as_mpf(x)._mpf_
+            return mp.make_mpf(self.quotient(t, mpf_mul(t, t, prec, round_nearest), prec))
 
 
 def gauss_g_parts(n: int) -> tuple:

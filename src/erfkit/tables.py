@@ -241,18 +241,21 @@ def table8(table, rows, ctx):
 
 
 def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
-    """re_B of an exp(-x^2) approximant against the Gaussian on the sweep grid (nothing stored).
+    """re_B of a ``RationalFunctionApproximant`` against exp(-x^2) on the sweep grid (nothing stored).
 
     max |1 - f(x)/exp(-x^2)| on libmp tuples, each operation rounded as its
-    mpf counterpart rounds it; every point goes through ``approx.value``.
+    mpf counterpart rounds it. u = x*x is formed once per point and serves
+    both polynomials (``approx.quotient``, the kernel of ``approx.value``)
+    and the Gaussian: -u is (-x)*x rounded, as round-to-nearest is
+    symmetric, so e^(-u) is mp.exp(-x*x) bit for bit.
     """
     with ctx.workdps():
         prec, rnd = mp.mp.prec, round_nearest
         best = fzero
         for x in grid_points(interval, n_points):
             t = x._mpf_
-            gauss = mpf_exp(mpf_mul(mpf_neg(t), t, prec, rnd), prec, rnd)
-            q = mpf_div(approx.value(x, ctx)._mpf_, gauss, prec, rnd)
+            u = mpf_mul(t, t, prec, rnd)
+            q = mpf_div(approx.quotient(t, u, prec), mpf_exp(mpf_neg(u), prec, rnd), prec, rnd)
             err = mpf_abs(mpf_sub(fone, q, prec, rnd))
             if mpf_gt(err, best):
                 best = err

@@ -6,6 +6,14 @@ never reaches the relative-error quotient. Reference values are cached per
 (interval, N, digits) because table reproduction reuses the same grids many
 times; the cache keeps the most recently used grids up to a total point count.
 
+A poly-exp approximant (spline, sub-interval, Taylor, erf series) is swept in
+one batch (``grid_values``): per point u = x*x is rounded once, and each decay
+rate's e^(-k x_i^2) is computed once per cached grid and held beside it, so
+every order on that grid with that rate reuses it (f_{n,m} has the rates
+j^2/m^2 for every n). Those are the operations ``value`` does, so every error
+is the point-by-point quotient's, bit for bit. Other approximants go through
+``value`` point by point.
+
 ``optimize_transition`` records the signed errors of its inner approximant
 (one grid's worth, in one slot), matched by identity with the cached grid
 tuple and the inner object. A ``PiecewiseApproximant`` swept next on that
@@ -27,8 +35,9 @@ from functools import cached_property
 from itertools import chain, islice
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest
 
-from .exact import PolyExpSum, RationalPolynomial, as_mpf, mpf_to_fraction
+from .exact import PolyExpSum, RationalPolynomial, as_mpf, exp_parts, mpf_to_fraction
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
 
@@ -39,6 +48,16 @@ from .spline import PolyExpApproximant
 # table in one process, 99,215.
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
+
+# Exponentials of cached grids, least recently used first: (id(xs), -k, prec)
+# -> (xs, e^(-k x_i^2) per point as a (mantissa, exponent) pair). An entry
+# goes with its grid, and a grid that is not kept gets none. At most
+# _GRID_EXPS_VALUES pairs in all, apart from the grid cap (110-175 bytes each
+# at 34-70 digits, so at most 35 MB, against 500 bytes a grid point): Table 6
+# holds 160,000 (16 rates on 10,000 points), the certify-warm benchmark 3,100.
+# Holding xs keeps id(xs) from being reused while the entry is held.
+_GRID_EXPS: OrderedDict = OrderedDict()
+_GRID_EXPS_VALUES = 200_000
 
 # (grid xs, inner, signed errors) of the last optimize_transition, or None.
 # The strong references keep their ids from being reused while they are
@@ -80,8 +99,53 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
         _REF_GRID_CACHE[key] = hit
         total = sum(len(cached) for cached, _ in _REF_GRID_CACHE.values())
         while total > _REF_GRID_CACHE_POINTS:
-            total -= len(_REF_GRID_CACHE.popitem(last=False)[1][0])
+            gone = _REF_GRID_CACHE.popitem(last=False)[1][0]
+            total -= len(gone)
+            for exps_key in [k for k in _GRID_EXPS if k[0] == id(gone)]:
+                del _GRID_EXPS[exps_key]
     return hit
+
+
+def _grid_exps(xs, negk, prec: int) -> tuple:
+    """e^(-k x^2) at every point of the grid xs (``exp_parts`` pairs), held while xs is cached."""
+    key = (id(xs), negk, prec)
+    hit = _GRID_EXPS.get(key)
+    if hit is not None:
+        _GRID_EXPS.move_to_end(key)
+        return hit[1]
+    exps = tuple(exp_parts(negk, mpf_mul(x._mpf_, x._mpf_, prec, round_nearest), prec) for x in xs)
+    if any(cached is xs for cached, _ in _REF_GRID_CACHE.values()):
+        _GRID_EXPS[key] = (xs, exps)
+        total = sum(len(held) for _, held in _GRID_EXPS.values())
+        while total > _GRID_EXPS_VALUES:
+            total -= len(_GRID_EXPS.popitem(last=False)[1][1])
+    return exps
+
+
+def grid_values(approx: PolyExpApproximant, xs, n: int) -> list:
+    """``approx.value`` at the first n points of the grid xs, bit for bit, inside its ctx.workdps().
+
+    The batch entry of a sweep: per point u = x*x is rounded once, and each
+    rate's e^(-k u) comes from ``_grid_exps``; ``PolyExpSum._sum_at`` is the
+    kernel ``value`` runs too. A form with more exponentials on xs than the
+    cap holds (f_{1,64} on 20,000 points) forms them at each point instead.
+    """
+    prec = mp.mp.prec
+    form = approx.form
+    plans = form.plan(prec)
+    if sum(negk is not None for negk, _ in plans) * len(xs) <= _GRID_EXPS_VALUES:
+        columns = [None if negk is None else _grid_exps(xs, negk, prec) for negk, _ in plans]
+        exps_at = lambda i, u: [None if column is None else column[i] for column in columns]
+    else:
+        exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
+    root = sqrt_pi()._mpf_
+    out = []
+    for i, x in enumerate(xs[:n]):
+        t = x._mpf_
+        u = mpf_mul(t, t, prec, round_nearest)
+        m, e = form._sum_at(plans, t, u, exps_at(i, u), prec)
+        out.append(mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest)))
+    return out
 
 
 def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
@@ -90,7 +154,8 @@ def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
     The record of the last ``optimize_transition`` answers for its inner on
     its grid. A ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
     1 - 1/erf(x); up to x_o (a prefix: the grid ascends) its errors are its
-    inner's. Everything else is evaluated point by point.
+    inner's. A poly-exp approximant is evaluated in one batch
+    (``grid_values``), anything else point by point through ``value``.
     """
     record = _INNER_ERRORS
     if record is not None and record[0] is xs and record[1] is approx:
@@ -99,7 +164,11 @@ def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
         split = bisect_right(xs, approx._bound, hi=n, key=mpf_to_fraction)
         head = _relative_errors(approx.inner, xs, refs, split, ctx)
         return head + tuple(1 - 1 / ref for ref in refs[split:n])
-    return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs[:n], refs))
+    if isinstance(approx, PolyExpApproximant):
+        values = grid_values(approx, xs, n)
+    else:
+        values = (approx.value(x, ctx) for x in xs[:n])
+    return tuple(1 - v / ref for v, ref in zip(values, refs))
 
 
 @dataclass(frozen=True)
@@ -154,6 +223,11 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
     )
 
 
+def _check_inner(inner):
+    if not isinstance(inner, OddApproximant):
+        raise ValueError("inner must be an OddApproximant, got %r" % (inner,))
+
+
 @dataclass(frozen=True)
 class PiecewiseApproximant(OddApproximant):
     """Inner odd approximant switched to the constant 1 beyond x_o (odd overall)."""
@@ -162,8 +236,7 @@ class PiecewiseApproximant(OddApproximant):
     x_o: object
 
     def __post_init__(self):
-        if not isinstance(self.inner, OddApproximant):
-            raise ValueError("inner must be an OddApproximant, got %r" % (self.inner,))
+        _check_inner(self.inner)
         try:
             bound = mpf_to_fraction(self.x_o)
         except (TypeError, ValueError) as exc:
@@ -214,7 +287,11 @@ def optimize_transition(
 
 
 def improved(inner, interval, n_points: int, ctx: PrecisionContext = CTX34):
-    """Convenience: optimize the transition and return the piecewise approximant."""
+    """Convenience: optimize the transition and return the piecewise approximant.
+
+    An inner that is not an ``OddApproximant`` is a ValueError before any grid is built.
+    """
+    _check_inner(inner)
     result = optimize_transition(inner, interval, n_points, ctx)
     return PiecewiseApproximant(inner, result.x_o), result
 

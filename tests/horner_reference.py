@@ -2,14 +2,28 @@
 
 The reference for ``erfkit.exact``: the library runs the same operations on
 Python-int (mantissa, exponent) pairs, and tests assert that both give the
-same ``_mpf_`` at every point.
+same ``_mpf_`` at every point. ``eval_polys`` and ``eval_poly`` are the
+library kernel's own values as mpf, for the tests that read them.
 """
 
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, round_nearest
 
-from erfkit.exact import fraction_to_mpf
+from erfkit.exact import fraction_to_mpf, poly_values
+
+
+def eval_polys(polys, x) -> tuple:
+    """The kernel's values of several polynomials as mpf at the current precision (x via mp.mpf)."""
+    prec = mp.mp.prec
+    t = mp.mpf(x)._mpf_
+    return tuple(map(mp.make_mpf, poly_values(polys, t, mpf_mul(t, t, prec, round_nearest), prec)))
+
+
+def eval_poly(poly, x):
+    """The kernel's value of one polynomial (see ``eval_polys``)."""
+    return eval_polys((poly,), x)[0]
 
 
 @lru_cache(maxsize=None)

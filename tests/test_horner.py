@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction as F
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 import horner_reference as ref
 from erfkit import gauss
-from erfkit.exact import PolyExpSum, RationalPolynomial, _rounded, as_mpf, eval_polys, horner
+from erfkit.exact import PolyExpSum, RationalPolynomial, _rounded, as_mpf, horner
 from erfkit.gauss import build_erf_series, build_gauss_g, build_gauss_h
 from erfkit.oracle import CTX34, CTX70, PrecisionContext
 from erfkit.spline import build_spline
@@ -47,12 +48,13 @@ def _form(approx):
 
 
 def raw_cases():
-    """(label, evaluate, reference): every sum's eval_raw and every g_n/h_n polynomial's eval_mpf."""
+    """(label, evaluate, reference): every sum's eval_raw and every g_n/h_n polynomial's kernel value."""
     for label, approx in APPROXIMANTS:
         if hasattr(approx, "numerator"):
             for part in ("numerator", "denominator"):
                 poly = getattr(approx, part)
-                yield "%s.%s" % (label, part), poly.eval_mpf, lambda x, p=poly: ref.eval_mpf(p, x)
+                kernel, loop = partial(ref.eval_poly, poly), lambda x, p=poly: ref.eval_mpf(p, x)
+                yield "%s.%s" % (label, part), kernel, loop
         else:
             form = _form(approx)
             yield label, form.eval_raw, lambda x, f=form: ref.eval_raw(f, x)
@@ -68,11 +70,17 @@ def raw_points(ctx):
 VALUE_POINTS = [0, mp.ldexp(1, -200), F(-3, 2), F(7, 3), "-11.25"]
 
 
+def reference_quotient(self, t, u, prec):
+    """``RationalFunctionApproximant.quotient`` from the mpf loops, at the working precision."""
+    x = mp.make_mpf(t)
+    return (ref.eval_mpf(self.numerator, x) / ref.eval_mpf(self.denominator, x))._mpf_
+
+
 def reference_value(monkeypatch, approx, x, ctx):
     """approx.value(x, ctx) with the mpf loops in place of the kernel."""
     with monkeypatch.context() as m:
         m.setattr(PolyExpSum, "eval_raw", ref.eval_raw)
-        m.setattr(gauss, "poly_values", lambda polys, x, prec: [ref.eval_mpf(p, x)._mpf_ for p in polys])
+        m.setattr(gauss.RationalFunctionApproximant, "quotient", reference_quotient)
         return approx.value(x, ctx)
 
 
@@ -185,12 +193,12 @@ def test_exact_cancellation_matches_the_mpf_loop(label, ctx):
     poly, x = EDGE_POLYS[label]
     with ctx.workdps():
         xm = as_mpf(x)
-        assert poly.eval_mpf(xm)._mpf_ == ref.eval_mpf(poly, xm)._mpf_
+        assert ref.eval_poly(poly, xm)._mpf_ == ref.eval_mpf(poly, xm)._mpf_
         form = PolyExpSum([(0, poly), (F(1, 4), poly)])
         assert form.eval_raw(xm)._mpf_ == ref.eval_raw(form, xm)._mpf_
     if label.endswith("to-zero"):
         with ctx.workdps():
-            assert poly.eval_mpf(xm) == 0
+            assert ref.eval_poly(poly, xm) == 0
 
 
 @pytest.mark.parametrize("ctx", CTXS, ids=CTX_IDS)
@@ -216,11 +224,11 @@ def test_eval_polys_shares_one_square():
     g = build_gauss_g(7)
     with CTX34.workdps():
         x = as_mpf(F(17, 10))
-        num, den = eval_polys((g.numerator, g.denominator), x)
+        num, den = ref.eval_polys((g.numerator, g.denominator), x)
         assert num._mpf_ == ref.eval_mpf(g.numerator, x)._mpf_
         assert den._mpf_ == ref.eval_mpf(g.denominator, x)._mpf_
         with pytest.raises(ValueError, match="finite"):
-            eval_polys((g.numerator,), mp.inf)
+            ref.eval_polys((g.numerator,), mp.inf)
 
 
 def test_taylor_cancellation_grows_like_x_squared():

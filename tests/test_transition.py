@@ -8,7 +8,7 @@ from collections import Counter, OrderedDict
 from erfkit import transition
 from erfkit.exact import RationalPolynomial, mpf_to_fraction
 from erfkit.oracle import CTX34, CTX70, erf_ref, sqrt_pi
-from erfkit.gauss import build_gauss_g
+from erfkit.gauss import RationalFunctionApproximant, build_gauss_g
 from erfkit.spline import SplineApproximant, build_spline
 from erfkit.subinterval import build_subinterval
 from erfkit.transition import (
@@ -22,6 +22,7 @@ from erfkit.transition import (
     sweep,
     taylor,
 )
+from horner_reference import eval_poly
 
 
 def test_sweep_headline_value():
@@ -246,8 +247,9 @@ def test_reference_grid_tells_close_endpoints_apart():
 
 @pytest.fixture
 def grid_cache(monkeypatch):
-    """An empty reference-grid cache for one test, restored afterwards."""
+    """An empty reference-grid cache, with no exponentials held, for one test, restored afterwards."""
     monkeypatch.setattr(transition, "_REF_GRID_CACHE", OrderedDict())
+    monkeypatch.setattr(transition, "_GRID_EXPS", OrderedDict())
     return transition._REF_GRID_CACHE
 
 
@@ -259,15 +261,24 @@ def inner_errors(monkeypatch):
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """Counts SplineApproximant.value calls per approximant object (keyed by id)."""
-    calls = Counter()
-    value = SplineApproximant.value
+    """Counts the points each approximant object (keyed by id) is evaluated at.
 
-    def spy(self, x, ctx=CTX34):
+    A sweep evaluates a spline in one batch, ``transition.grid_values``; a
+    ``SplineApproximant.value`` call counts one point too.
+    """
+    calls = Counter()
+    batch, value = transition.grid_values, SplineApproximant.value
+
+    def batch_spy(approx, xs, n):
+        calls[id(approx)] += n
+        return batch(approx, xs, n)
+
+    def value_spy(self, x, ctx=CTX34):
         calls[id(self)] += 1
         return value(self, x, ctx)
 
-    monkeypatch.setattr(SplineApproximant, "value", spy)
+    monkeypatch.setattr(transition, "grid_values", batch_spy)
+    monkeypatch.setattr(SplineApproximant, "value", value_spy)
     return calls
 
 
@@ -447,6 +458,20 @@ def test_piecewise_rejects_an_inner_that_is_not_odd_approximant(inner):
         PiecewiseApproximant(inner, 2)
 
 
+def test_improved_rejects_a_gaussian_inner_before_any_grid(grid_cache, inner_errors, monkeypatch):
+    evaluated = []
+    value = RationalFunctionApproximant.value
+
+    def spy(self, x, ctx=CTX34):
+        evaluated.append(x)
+        return value(self, x, ctx)
+
+    monkeypatch.setattr(RationalFunctionApproximant, "value", spy)
+    with pytest.raises(ValueError, match="inner must be an OddApproximant"):
+        improved(build_gauss_g(4), (0, 5), 40, CTX34)
+    assert not grid_cache and not evaluated and transition._INNER_ERRORS is None
+
+
 # x_o = 3.5 is grid point 7 of (0, 5] with N = 10, between grid points 3 and 4
 @pytest.mark.parametrize("x_o", [F(7, 2), "3.5"], ids=["fraction", "str"])
 def test_piecewise_exact_x_o_sweeps_as_the_mpf(x_o, inner_errors):
@@ -509,4 +534,4 @@ def test_taylor_value_is_its_polynomial():
     t9 = taylor(9)
     with CTX34.workdps():
         for x in (mp.mpf("0.3"), mp.mpf("1.7"), mp.mpf(-2)):
-            assert t9.value(x, CTX34) == t9.poly.eval_mpf(x) / sqrt_pi()
+            assert t9.value(x, CTX34) == eval_poly(t9.poly, x) / sqrt_pi()
