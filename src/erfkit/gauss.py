@@ -46,6 +46,14 @@ class RationalFunctionApproximant:
         num, den = poly_values((self.numerator, self.denominator), t, u, prec)
         return mpf_div(num, den, prec, round_nearest)
 
+    @cached_property
+    def float_coeffs(self):
+        """Both polynomials' coefficients in u = x^2 as floats, top first; None unless even and normal."""
+        polys = (self.numerator, self.denominator)
+        if all(p.is_even_poly() and all(not c or 1e-300 < abs(c) < 1e300 for c in p.coeffs) for p in polys):
+            return tuple(tuple(map(float, p.coeffs[::-2])) for p in polys)
+        return None
+
     def value(self, x, ctx: PrecisionContext = CTX34):
         """numerator(x) / denominator(x), the quotient rounded once at the working precision."""
         with ctx.workdps():

@@ -9,6 +9,8 @@ grid-table coefficients to 10 significant digits.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -17,6 +19,7 @@ import mpmath as mp
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg
 from mpmath.libmp import mpf_sub, round_nearest
 
+from .exact import mpf_to_fraction
 from .gauss import build_gauss_g, build_gauss_h
 from .grids import build_grid_table, covering_grid
 from .oracle import CTX34, CTX70, PrecisionContext
@@ -26,13 +29,13 @@ from .sqrtform import build_sqrt, sqrt_transform
 from .subinterval import build_subinterval
 from .transition import (
     PiecewiseApproximant,
-    grid_points,
+    grid_step,
     optimize_transition,
     sweep,
     taylor,
 )
 
-REB_RELATIVE_TOL = mp.mpf("0.05")
+REB_RELATIVE_TOL = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,12 @@ class RowResult:
 
 
 def _reb_ok(computed, printed, tol=REB_RELATIVE_TOL) -> bool:
-    printed = mp.mpf(printed)
-    return abs(computed / printed - 1) <= tol
+    return abs(mpf_to_fraction(computed) / Fraction(printed) - 1) <= tol
 
 
 def _xo_ok(computed, printed, step) -> bool:
-    return abs(computed - mp.mpf(printed)) <= step * (1 + mp.mpf("1e-9"))
+    slack = mpf_to_fraction(step) * Fraction("1.000000001")
+    return abs(mpf_to_fraction(computed) - Fraction(printed)) <= slack
 
 
 def _bound_row(table, label, bound, printed, tol=REB_RELATIVE_TOL, detail=""):
@@ -240,25 +243,64 @@ def table8(table, rows, ctx):
     return out
 
 
-def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
-    """re_B of a ``RationalFunctionApproximant`` against exp(-x^2) on the sweep grid (nothing stored).
+def _enclosures(coeffs: tuple, fa: float, fs: float, prec: int, indices):
+    """(i, lo_i, hi_i) around ``gauss_sweep``'s error at x_i = fa + i*fs, for each i it can bound."""
+    unit = 2.0**-53 + 2.0**-prec
+    polys = [(10 * len(cs) * unit, tuple(zip(cs, map(abs, cs)))) for cs in coeffs]
+    for i in indices:
+        x = fa + i * fs
+        u = x * x
+        rho, vals = (8 * u + 20) * unit, []
+        for scale, cs in polys:
+            v = s = 0.0
+            for c, a in cs:
+                v, s = v * u + c, s * u + a
+            eta = scale * s + 1e-300
+            rho += eta / abs(v) if abs(v) > eta else math.inf
+            vals.append(v)
+        e = math.exp(-u)
+        de, rho = vals[1] * e, 2 * rho
+        if rho <= 2.0**-20 and min(e, abs(de)) > 1e-300 and abs(vals[0] / de) < 1e300:
+            q = vals[0] / de
+            w = 4 * 2.0**-53 * abs(1 - q) + rho * abs(q)
+            yield i, abs(1 - q) - w, abs(1 - q) + w
 
-    max |1 - f(x)/exp(-x^2)| on libmp tuples, each operation rounded as its
-    mpf counterpart rounds it. u = x*x is formed once per point and serves
-    both polynomials (``approx.quotient``, the kernel of ``approx.value``)
-    and the Gaussian: -u is (-x)*x rounded, as round-to-nearest is
-    symmetric, so e^(-u) is mp.exp(-x*x) bit for bit.
+
+def gauss_sweep(approx, interval, n_points, ctx: PrecisionContext = CTX34):
+    """re_B of a ``RationalFunctionApproximant``: max |1 - f(x)/exp(-x^2)| on the sweep grid.
+
+    Two passes, with no object kept per point. Pass 1 (``_enclosures``) bounds each error,
+    lo_i <= err_i <= hi_i, from q = N(u)/(D(u) e^(-u)) in floats, keeping hi_i in one array.
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 5.1) spans both
+    pipelines, in units of 2^-53 + 2^-prec: rho|q| + 4*2^-53|1 - q|, rho twice 8u + 20 (e^(-u),
+    2 ulps of ``math.exp``, the divisions) plus 10K sum|c_k|u^k / |P(u)| per polynomial P of K
+    coefficients (Horner, coefficients, x, u). A zero, an overflow, a NaN or rho > 2^-20 leaves
+    hi_i = inf. Pass 2 is the exact walk on libmp tuples, rounded as mpf rounds (u = x*x for
+    ``approx.quotient`` and e^(-u) = mp.exp(-x*x)), where hi_i >= max_j lo_j, as at the maximum,
+    so re_B keeps every bit. It takes every point when over half of about 64 probe points reach
+    max lo_j (errors near float resolution: h_10, h_12 at 34 digits) or with no ``float_coeffs``.
     """
     with ctx.workdps():
         prec, rnd = mp.mp.prec, round_nearest
+        am, step = grid_step(interval, n_points)
+        fa, fs = float(am), float(step)
+        hi, lo = array("d", [math.inf]) * (n_points + 1), -math.inf
+        if approx.float_coeffs is not None and fs > 1e-300:  # a subnormal step is not within 2^-53
+            probe = range(n_points, 0, -(n_points // 64 + 1))
+            for indices in (probe, range(1, n_points + 1)):
+                for i, lo_i, hi_i in _enclosures(approx.float_coeffs, fa, fs, prec, indices):
+                    hi[i], lo = hi_i, max(lo, lo_i)
+                if 2 * sum(hi[i] >= lo for i in probe) > len(probe):
+                    break
         best = fzero
-        for x in grid_points(interval, n_points):
-            t = x._mpf_
-            u = mpf_mul(t, t, prec, rnd)
-            q = mpf_div(approx.quotient(t, u, prec), mpf_exp(mpf_neg(u), prec, rnd), prec, rnd)
-            err = mpf_abs(mpf_sub(fone, q, prec, rnd))
-            if mpf_gt(err, best):
-                best = err
+        for i in range(1, n_points + 1):
+            if hi[i] >= lo:
+                t = (am + i * step)._mpf_
+                u = mpf_mul(t, t, prec, rnd)
+                q = mpf_div(approx.quotient(t, u, prec), mpf_exp(mpf_neg(u), prec, rnd), prec, rnd)
+                err = mpf_abs(mpf_sub(fone, q, prec, rnd))
+                if mpf_gt(err, best):
+                    best = err
         return mp.make_mpf(best)
 
 
@@ -310,7 +352,7 @@ def table10(table, rows, ctx):
         else:
             inner = build_spline(n) if kind == "spline" else build_subinterval(n, int(params["m"]))
             bound = sweep(PiecewiseApproximant(inner, mp.mpf(xo_p)), (0, 8), 10000, ctx).re_b
-        tol_v = REB_RELATIVE_TOL if tol is None else mp.mpf(tol)
+        tol_v = REB_RELATIVE_TOL if tol is None else Fraction(tol)
         out.append(_bound_row(table, label, bound, reb_p, tol_v, note))
     return out
 

@@ -65,12 +65,19 @@ _GRID_EXPS_VALUES = 200_000
 _INNER_ERRORS = None
 
 
-def grid_points(interval, n_points: int):
-    """Yield x_i = a + i(b-a)/N, i = 1..N, at the current mpmath precision."""
+def grid_step(interval, n_points: int) -> tuple:
+    """(a, (b-a)/N) as mpf at the current precision; a ValueError unless 0 <= a < b and N >= 2."""
     am, bm = as_mpf(interval[0]), as_mpf(interval[1])
-    step = (bm - am) / n_points
-    for i in range(1, n_points + 1):
-        yield am + i * step
+    if not 0 <= am < bm or n_points < 2:
+        msg = "a sweep grid needs 0 <= a < b and at least 2 points, got (%s, %s] with %d"
+        raise ValueError(msg % (interval[0], interval[1], n_points))
+    return am, (bm - am) / n_points
+
+
+def grid_points(interval, n_points: int):
+    """x_i = a + i(b-a)/N, i = 1..N, as a generator at the current precision (``grid_step``)."""
+    am, step = grid_step(interval, n_points)
+    return (am + i * step for i in range(1, n_points + 1))
 
 
 def reference_grid(interval, n_points: int, ctx: PrecisionContext):
@@ -78,9 +85,7 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
 
     Keyed by the endpoints as mpf at the working precision, the exact values
     the grid is computed from. A hit becomes the most recently used grid; a
-    new grid evicts the least recently used ones beyond the point cap. A
-    grid needs 0 <= a < b and N >= 2, so that no point lands on x = 0;
-    anything else is a ValueError.
+    new grid evicts the least recently used ones beyond the point cap.
     """
     with ctx.workdps():
         key = (as_mpf(interval[0]), as_mpf(interval[1]), n_points, ctx)
@@ -88,11 +93,6 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
         if hit is not None:
             _REF_GRID_CACHE.move_to_end(key)
             return hit
-        if not 0 <= key[0] < key[1] or n_points < 2:
-            raise ValueError(
-                "a sweep grid needs 0 <= a < b and at least 2 points, got (%s, %s] with %d"
-                % (interval[0], interval[1], n_points)
-            )
         xs = tuple(grid_points(interval, n_points))
         hit = (xs, tuple(erf_ref(x, ctx) for x in xs))
     if n_points <= _REF_GRID_CACHE_POINTS:  # a larger grid is returned, not kept

@@ -22,7 +22,7 @@ from erfkit import (
 from erfkit.cli import _json, main, parse_gen_payload
 from erfkit.oracle import CTX34, erf_ref
 from erfkit.render import frac_str
-from erfkit.tables import parse_rows, reproduce_table
+from erfkit.tables import _reb_ok, _xo_ok, parse_rows, reproduce_table
 
 
 def run_cli(*argv):
@@ -354,6 +354,20 @@ def test_reproduce_table_rejects_unknown_row_keys():
     # string keys for an integer-keyed table used to select nothing and pass
     with pytest.raises(ValueError, match="has no row 0"):
         reproduce_table(8, rows={"0"})
+
+
+@pytest.mark.parametrize("prec", [30, 53, 200])
+def test_tolerance_verdicts_ignore_the_ambient_precision(prec):
+    # values on the very edge of the 5% and one-step tolerances, made at 44 digits
+    with CTX34.workdps():
+        beyond_reb = mp.mpf(21) + mp.mpf(2) ** -40
+        step = mp.mpf(2) ** -13
+        edge_xo = mp.mpf("0.1") + step
+        beyond_xo = mp.mpf("0.1") + step * (1 + mp.mpf("2e-9"))
+    with mp.workprec(prec):
+        assert _reb_ok(mp.mpf(21), "20") and _reb_ok(mp.mpf(19), "20")
+        assert not _reb_ok(beyond_reb, "20")
+        assert _xo_ok(edge_xo, "0.1", step) and not _xo_ok(beyond_xo, "0.1", step)
 
 
 def test_apps_harmonics_csv_with_flagged_k7(tmp_path):

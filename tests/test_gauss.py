@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 
 from erfkit.exact import RationalPolynomial, as_mpf
 from erfkit.gauss import (
+    RationalFunctionApproximant,
     build_erf_series,
     build_gauss_g,
     build_gauss_h,
@@ -13,8 +15,10 @@ from erfkit.gauss import (
 )
 from erfkit.oracle import CTX34, CTX70, erf_ref
 from erfkit.spline import build_spline
-from erfkit.tables import gauss_sweep
-from erfkit.transition import grid_points
+from erfkit.tables import TABLE9, _enclosures, gauss_sweep
+from erfkit.transition import grid_points, grid_step
+from gauss_reference import gauss_error
+from gauss_reference import gauss_sweep as all_point_sweep
 from horner_reference import eval_poly, eval_polys
 
 PRINTED_G = {
@@ -128,6 +132,86 @@ def test_gauss_sweep_pinned_bit_for_bit(case):
     bound = gauss_sweep(BUILDERS[tag](n), _table9_interval(ctx), points, ctx)
     digest = hashlib.sha256(b"%d %d %d %d\n" % bound._mpf_).hexdigest()
     assert digest == TABLE9_PINS[case]
+
+
+@pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])
+def test_gauss_sweep_is_the_all_point_walk_on_every_table9_row(ctx):
+    interval = _table9_interval(ctx)
+    for (tag, n), _ in TABLE9:
+        approx = BUILDERS[tag](n)
+        got = gauss_sweep(approx, interval, 1000, ctx)
+        assert got._mpf_ == all_point_sweep(approx, interval, 1000, ctx)._mpf_, (tag, n)
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 17, 500])
+def test_gauss_sweep_is_the_all_point_walk_on_random_grids(n_points):
+    rng = random.Random(n_points)
+    for case in range(8):
+        lo, hi = sorted(rng.sample(range(6001), 2))
+        interval = (0 if case % 3 == 0 else F(lo, 1000), F(hi, 1000))
+        approx = BUILDERS[rng.choice("gh")](rng.randrange(17))
+        ctx = CTX70 if case % 4 == 3 else CTX34
+        got = gauss_sweep(approx, interval, n_points, ctx)
+        assert got._mpf_ == all_point_sweep(approx, interval, n_points, ctx)._mpf_, (interval, approx)
+
+
+@pytest.mark.parametrize(
+    "tag, n, ctx", [("g", 4, CTX34), ("g", 12, CTX34), ("h", 8, CTX34), ("g", 7, CTX70)],
+    ids=["g4-d34", "g12-d34", "h8-d34", "g7-d70"],
+)
+def test_screen_encloses_every_exact_error(tag, n, ctx):
+    # lo_i <= the exact error <= hi_i at every point of Table 9's grid, and
+    # the screen bounds every point, so it leaves few for the exact pass
+    approx = BUILDERS[tag](n)
+    with ctx.workdps():
+        prec = mp.mp.prec
+        am, step = grid_step(_table9_interval(ctx), 10000)
+        indices = range(1, 10001)
+        bounds = list(_enclosures(approx.float_coeffs, float(am), float(step), prec, indices))
+        assert [i for i, _, _ in bounds] == list(indices)
+        for i, lo, hi in bounds:
+            err = mp.make_mpf(gauss_error(approx, (am + i * step)._mpf_, prec))
+            assert lo <= err <= hi, i
+        top = max(lo for _, lo, _ in bounds)
+        assert sum(hi >= top for _, _, hi in bounds) <= 100
+
+
+def _exact_points(monkeypatch, approx, interval, n_points, ctx):
+    """gauss_sweep's value and the number of points it evaluated exactly."""
+    calls = []
+    quotient = RationalFunctionApproximant.quotient
+    monkeypatch.setattr(
+        RationalFunctionApproximant, "quotient", lambda self, *a: calls.append(1) or quotient(self, *a)
+    )
+    return gauss_sweep(approx, interval, n_points, ctx), len(calls)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_screen_gives_up_below_float_resolution(n, monkeypatch):
+    # h_10 and h_12 err by 7e-14 and 5e-18 at 34 digits: the walk turns exact at every point
+    approx, interval = build_gauss_h(n), _table9_interval(CTX34)
+    bound, exact = _exact_points(monkeypatch, approx, interval, 10000, CTX34)
+    assert exact == 10000
+    assert bound._mpf_ == all_point_sweep(approx, interval, 10000, CTX34)._mpf_
+
+
+def test_screen_gives_up_without_float_coefficients(monkeypatch):
+    # 10^400 overflows a float, so there is nothing to screen with
+    approx = RationalFunctionApproximant(
+        1, RationalPolynomial([1, 0, 10**400]), RationalPolynomial([1, 0, F(1, 2)])
+    )
+    assert approx.float_coeffs is None
+    interval = _table9_interval(CTX34)
+    bound, exact = _exact_points(monkeypatch, approx, interval, 300, CTX34)
+    assert exact == 300
+    assert bound._mpf_ == all_point_sweep(approx, interval, 300, CTX34)._mpf_
+
+
+def test_screen_evaluates_few_points_exactly(monkeypatch):
+    approx, interval = build_gauss_g(4), _table9_interval(CTX34)
+    bound, exact = _exact_points(monkeypatch, approx, interval, 10000, CTX34)
+    assert exact <= 20
+    assert bound._mpf_ == all_point_sweep(approx, interval, 10000, CTX34)._mpf_
 
 
 @pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])

@@ -11,6 +11,7 @@ from erfkit.oracle import CTX34, CTX70, erf_ref, sqrt_pi
 from erfkit.gauss import RationalFunctionApproximant, build_gauss_g
 from erfkit.spline import SplineApproximant, build_spline
 from erfkit.subinterval import build_subinterval
+from erfkit.tables import gauss_sweep
 from erfkit.transition import (
     EnvelopePair,
     PiecewiseApproximant,
@@ -413,6 +414,7 @@ def test_bad_grids_are_value_errors(interval, n_points, grid_cache):
         lambda: reference_grid(interval, n_points, CTX34),
         lambda: sweep(inner, interval, n_points, CTX34),
         lambda: optimize_transition(inner, interval, n_points, CTX34),
+        lambda: gauss_sweep(build_gauss_g(4), interval, n_points, CTX34),
     ):
         with pytest.raises(ValueError, match="0 <= a < b and at least 2 points"):
             run()
