@@ -14,14 +14,15 @@ j^2/m^2 for every n). Those are the operations ``value`` does, so every error
 is the point-by-point quotient's, bit for bit. Other approximants go through
 ``value`` point by point.
 
-``optimize_transition`` records the signed errors of its inner approximant
-(one grid's worth, in one slot), matched by identity with the cached grid
-tuple and the inner object. A ``PiecewiseApproximant`` swept next on that
-grid around that very inner object reads its errors up to x_o from the
-record instead of evaluating the inner again; beyond x_o its error is
-1 - 1/erf(x). Approximants must therefore not change between the two calls.
-A grid built again after eviction is a new tuple, which no record matches.
-x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
+``optimize_transition`` evaluates its inner approximant only up to the
+crossing x_o and records those signed errors (a prefix of one grid, in one
+slot), matched by identity with the cached grid tuple and the inner object.
+A sweep next on that grid of that very inner object, or of a
+``PiecewiseApproximant`` around it, reads the prefix from the record and
+evaluates only the points past it, which it appends; beyond x_o a piecewise
+error is 1 - 1/erf(x). Approximants must therefore not change between the
+calls. A grid built again after eviction is a new tuple, which no record
+matches. x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def _grid_exps(xs, negk, prec: int) -> tuple:
     return exps
 
 
-def grid_values(approx: PolyExpApproximant, xs, n: int) -> list:
-    """``approx.value`` at the first n points of the grid xs, bit for bit, inside its ctx.workdps().
+def grid_values(approx: PolyExpApproximant, xs, start: int, stop: int):
+    """Yields ``approx.value`` at xs[start:stop], bit for bit, inside its ctx.workdps().
 
     The batch entry of a sweep: per point u = x*x is rounded once, and each
     rate's e^(-k u) comes from ``_grid_exps``; ``PolyExpSum._sum_at`` is the
@@ -139,36 +140,53 @@ def grid_values(approx: PolyExpApproximant, xs, n: int) -> list:
     else:
         exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
     root = sqrt_pi()._mpf_
-    out = []
-    for i, x in enumerate(xs[:n]):
-        t = x._mpf_
+    for i in range(start, stop):
+        t = xs[i]._mpf_
         u = mpf_mul(t, t, prec, round_nearest)
         m, e = form._sum_at(plans, t, u, exps_at(i, u), prec)
-        out.append(mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest)))
-    return out
+        yield mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest))
+
+
+def _errors(approx, xs, refs, start: int, stop: int, ctx: PrecisionContext):
+    """Yields the signed 1 - f(x)/erf(x) at xs[start:stop], inside ctx.workdps().
+
+    A poly-exp approximant is evaluated in one batch (``grid_values``),
+    anything else point by point through ``value``.
+    """
+    if isinstance(approx, PolyExpApproximant):
+        values = grid_values(approx, xs, start, stop)
+    else:
+        values = (approx.value(xs[i], ctx) for i in range(start, stop))
+    return (1 - v / refs[i] for i, v in enumerate(values, start))
+
+
+def _held(approx, xs) -> tuple:
+    """The errors the record holds for approx on the grid xs, a prefix of it, or ()."""
+    record = _INNER_ERRORS
+    return record[2] if record is not None and record[0] is xs and record[1] is approx else ()
 
 
 def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
     """Signed 1 - f(x)/erf(x) on the first n points of the cached grid xs, inside ctx.workdps().
 
     The record of the last ``optimize_transition`` answers for its inner on
-    its grid. A ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
+    its grid; the points past its prefix are evaluated and appended to it. A
+    ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
     1 - 1/erf(x); up to x_o (a prefix: the grid ascends) its errors are its
-    inner's. A poly-exp approximant is evaluated in one batch
-    (``grid_values``), anything else point by point through ``value``.
+    inner's.
     """
-    record = _INNER_ERRORS
-    if record is not None and record[0] is xs and record[1] is approx:
-        return record[2][:n]
+    global _INNER_ERRORS
+    held = _held(approx, xs)
+    if held:
+        if len(held) < n:
+            held += tuple(_errors(approx, xs, refs, len(held), n, ctx))
+            _INNER_ERRORS = (xs, approx, held)
+        return held[:n]
     if isinstance(approx, PiecewiseApproximant):
         split = bisect_right(xs, approx._bound, hi=n, key=mpf_to_fraction)
         head = _relative_errors(approx.inner, xs, refs, split, ctx)
         return head + tuple(1 - 1 / ref for ref in refs[split:n])
-    if isinstance(approx, PolyExpApproximant):
-        values = grid_values(approx, xs, n)
-    else:
-        values = (approx.value(x, ctx) for x in xs[:n])
-    return tuple(1 - v / ref for v, ref in zip(values, refs))
+    return tuple(_errors(approx, xs, refs, 0, n, ctx))
 
 
 @dataclass(frozen=True)
@@ -204,7 +222,8 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
     """Relative-error sweep of an approximant against the erf oracle.
 
     A ``PiecewiseApproximant`` swept right after ``optimize_transition`` of
-    its inner on the same grid reuses the inner errors that call recorded.
+    its inner on the same grid, or that inner itself, reuses the inner
+    errors that call recorded and evaluates only the points past them.
     """
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
@@ -266,23 +285,32 @@ def optimize_transition(
     The smallest qualifying grid point is taken; the returned re_B is the
     max of the inner errors up to x_o and the tail errors beyond it.
 
-    When the inner curve never reaches the tail curve, the sweep is reported
-    with x_o at the last grid point and tail_never_better set.
+    The inner is evaluated only up to x_o, the tail at every point. When the
+    inner curve never reaches the tail curve, x_o is the last grid point and
+    tail_never_better is set.
 
-    The signed inner errors replace the module's one-grid record, so that
-    a sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid reads them.
+    The signed inner errors up to x_o replace the module's one-grid record,
+    so that a sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid
+    reads them; a record of this inner on this grid is read first.
     """
     global _INNER_ERRORS
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
-        errors = _relative_errors(inner, xs, refs, n_points, ctx)
-        _INNER_ERRORS = (xs, inner, errors)
-        inner_abs = [abs(r) for r in errors]
+        # every tail error: erf_ref can exceed 1 at large x, so the tail is not monotone
         tail_abs = [abs(1 - 1 / ref) for ref in refs]
-        cross = next((j for j, (e, t) in enumerate(zip(inner_abs, tail_abs)) if e >= t), None)
-        if cross is None:
+        held, errors = _held(inner, xs), []
+        walk = chain(held, _errors(inner, xs, refs, len(held), n_points, ctx))
+        for err, tail in zip(walk, tail_abs):
+            errors.append(err)
+            if abs(err) >= tail:
+                break
+        if len(errors) > len(held):
+            _INNER_ERRORS = (xs, inner, tuple(errors))
+        inner_abs = [abs(r) for r in errors]
+        cross = len(errors) - 1
+        if inner_abs[-1] < tail_abs[cross]:  # every point walked, none crossed
             return TransitionResult(xs[-1], max(inner_abs), tail_never_better=True)
-        bound = max(chain(islice(inner_abs, cross + 1), islice(tail_abs, cross + 1, None)))
+        bound = max(chain(inner_abs, islice(tail_abs, cross + 1, None)))
     return TransitionResult(xs[cross], bound, tail_never_better=False)
 
 

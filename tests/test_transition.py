@@ -264,15 +264,17 @@ def inner_errors(monkeypatch):
 def value_calls(monkeypatch):
     """Counts the points each approximant object (keyed by id) is evaluated at.
 
-    A sweep evaluates a spline in one batch, ``transition.grid_values``; a
-    ``SplineApproximant.value`` call counts one point too.
+    A sweep evaluates a spline in one lazy batch, ``transition.grid_values``,
+    whose every yielded value counts one point; a ``SplineApproximant.value``
+    call counts one point too.
     """
     calls = Counter()
     batch, value = transition.grid_values, SplineApproximant.value
 
-    def batch_spy(approx, xs, n):
-        calls[id(approx)] += n
-        return batch(approx, xs, n)
+    def batch_spy(approx, xs, start, stop):
+        for v in batch(approx, xs, start, stop):
+            calls[id(approx)] += 1
+            yield v
 
     def value_spy(self, x, ctx=CTX34):
         calls[id(self)] += 1
@@ -297,10 +299,15 @@ def pointwise_errors(approx, interval, n_points, ctx):
 RECORD_GRID = ((0, 5), 120)
 
 
+def crossing(result, interval, n_points, ctx):
+    """Index of x_o on the grid: the search evaluates its inner at points 0..crossing."""
+    return reference_grid(interval, n_points, ctx)[0].index(result.x_o)
+
+
 def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(inner_errors, value_calls):
     inner = build_spline(4)
     res = optimize_transition(inner, *RECORD_GRID, CTX34)
-    assert value_calls[id(inner)] == 120
+    assert 0 < value_calls[id(inner)] == crossing(res, *RECORD_GRID, CTX34) + 1 < 120
     value_calls.clear()
     piece, again = improved(inner, *RECORD_GRID, CTX34)
     rep = sweep(piece, *RECORD_GRID, CTX34)
@@ -313,11 +320,12 @@ def test_piecewise_errors_are_the_pointwise_quotients(where, inner_errors, value
     inner = build_spline(3)
     xs, _ = reference_grid(*RECORD_GRID, CTX34)
     x_o = {"below-first": mp.mpf("0.01"), "interior": xs[57], "above-last": mp.mpf(6)}[where]
-    optimize_transition(inner, *RECORD_GRID, CTX34)
+    held = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34) + 1
     value_calls.clear()
     piece = PiecewiseApproximant(inner, x_o)
     rep = sweep(piece, *RECORD_GRID, CTX34)
-    assert not value_calls
+    # only the points up to x_o past the recorded prefix are evaluated
+    assert value_calls[id(inner)] == max(0, sum(1 for x in xs if x <= x_o) - held)
     expected = pointwise_errors(piece, *RECORD_GRID, CTX34)
     assert len(rep.re) == len(expected) == 120
     assert all(r == e for r, e in zip(rep.re, expected))
@@ -349,9 +357,10 @@ def test_record_is_not_reused_for_another_grid_ctx_or_inner(inner_errors, value_
 def test_record_holds_one_grid(inner_errors, value_calls):
     inner = build_spline(4)
     optimize_transition(inner, (0, 5), 120, CTX34)
-    optimize_transition(inner, (0, 6), 90, CTX34)
+    res = optimize_transition(inner, (0, 6), 90, CTX34)
     grid, held, errors = transition._INNER_ERRORS
-    assert grid is reference_grid((0, 6), 90, CTX34)[0] and held is inner and len(errors) == 90
+    assert grid is reference_grid((0, 6), 90, CTX34)[0] and held is inner
+    assert len(errors) == crossing(res, (0, 6), 90, CTX34) + 1
     value_calls.clear()
     sweep(PiecewiseApproximant(inner, mp.mpf(6)), (0, 5), 120, CTX34)
     assert value_calls[id(inner)] == 120  # the first grid's errors are gone
@@ -370,6 +379,35 @@ def test_record_of_an_evicted_grid_is_not_reused(grid_cache, inner_errors, value
     assert rep.xs is not held and rep.xs == held
     assert value_calls[id(inner)] == sum(1 for x in held if x <= x_o) > 0
     assert rep.re == pointwise_errors(piece, (0, 5), 60, CTX34)
+
+
+def test_inner_sweep_after_optimize_transition_evaluates_past_the_crossing(inner_errors, value_calls):
+    inner = build_spline(4)
+    res = optimize_transition(inner, *RECORD_GRID, CTX34)
+    held = crossing(res, *RECORD_GRID, CTX34) + 1
+    value_calls.clear()
+    rep = sweep(inner, *RECORD_GRID, CTX34)
+    assert value_calls[id(inner)] == 120 - held > 0
+    assert rep.re == pointwise_errors(inner, *RECORD_GRID, CTX34)
+    # the record now holds every point: a second sweep or search evaluates
+    # nothing, and the search keeps the longer record
+    assert len(transition._INNER_ERRORS[2]) == 120
+    value_calls.clear()
+    assert sweep(inner, *RECORD_GRID, CTX34).re == rep.re and not value_calls
+    assert optimize_transition(inner, *RECORD_GRID, CTX34) == res and not value_calls
+    assert transition._INNER_ERRORS[2] == rep.re
+
+
+def test_piecewise_sweep_past_the_crossing_evaluates_the_points_between(inner_errors, value_calls):
+    inner = build_spline(4)
+    xs, _ = reference_grid(*RECORD_GRID, CTX34)
+    cross = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34)
+    value_calls.clear()
+    piece = PiecewiseApproximant(inner, xs[cross + 10])
+    rep = sweep(piece, *RECORD_GRID, CTX34)
+    assert value_calls[id(inner)] == 10
+    assert rep.re == pointwise_errors(piece, *RECORD_GRID, CTX34)
+    assert len(transition._INNER_ERRORS[2]) == cross + 11
 
 
 def test_reference_grid_shares_equal_endpoints(grid_cache):
