@@ -106,8 +106,10 @@ class GridApproximant(OddApproximant):
 def covering_grid(n: int, delta, interval, ctx: PrecisionContext = CTX34) -> GridApproximant:
     """Order-n grid approximant covering [0, b] for interval (a, b): k_max = floor(b/delta) + 2."""
     check_order("grid", n)
-    delta = Fraction(delta)
+    delta, b = Fraction(delta), mpf_to_fraction(interval[1])
     if delta <= 0:
         raise ValueError("resolution must be positive")
-    k_max = int(Fraction(interval[1]) / delta) + 2
+    if b <= 0:
+        raise ValueError("interval end must be positive, got %s" % (interval[1],))
+    k_max = int(b / delta) + 2
     return GridApproximant(n, build_grid_table(delta, k_max, ctx))

@@ -15,14 +15,14 @@ is the point-by-point quotient's, bit for bit. Other approximants go through
 ``value`` point by point.
 
 ``optimize_transition`` evaluates its inner approximant only up to the
-crossing x_o and records those signed errors (a prefix of one grid, in one
-slot), matched by identity with the cached grid tuple and the inner object.
-A sweep next on that grid of that very inner object, or of a
-``PiecewiseApproximant`` around it, reads the prefix from the record and
-evaluates only the points past it, which it appends; beyond x_o a piecewise
-error is 1 - 1/erf(x). Approximants must therefore not change between the
-calls. A grid built again after eviction is a new tuple, which no record
-matches. x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
+crossing x_o and writes those signed errors, a prefix of one grid, into a
+one-slot record that sweeps only read. A sweep of that very inner object, or
+of a ``PiecewiseApproximant`` around it, on that very cached grid tuple reads
+the record if it holds every point needed (up to x_o for a piecewise sweep,
+whose error beyond x_o is 1 - 1/erf(x)), and else evaluates them from the
+first point. Approximants must therefore not change between the calls. A
+grid built again after eviction is a new tuple, which no record matches.
+x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _REF_GRID_CACHE_POINTS = 100_000
 _GRID_EXPS: OrderedDict = OrderedDict()
 _GRID_EXPS_VALUES = 200_000
 
-# (grid xs, inner, signed errors) of the last optimize_transition, or None.
+# (grid xs, inner, signed errors) of the last optimize_transition, its only writer, or None.
 # The strong references keep their ids from being reused while they are
 # held, so a match by identity is sound.
 _INNER_ERRORS = None
@@ -123,13 +123,14 @@ def _grid_exps(xs, negk, prec: int) -> tuple:
     return exps
 
 
-def grid_values(approx: PolyExpApproximant, xs, start: int, stop: int):
-    """Yields ``approx.value`` at xs[start:stop], bit for bit, inside its ctx.workdps().
+def grid_values(approx: PolyExpApproximant, xs):
+    """Yields ``approx.value`` at each point of xs in turn, bit for bit, inside its ctx.workdps().
 
     The batch entry of a sweep: per point u = x*x is rounded once, and each
     rate's e^(-k u) comes from ``_grid_exps``; ``PolyExpSum._sum_at`` is the
     kernel ``value`` runs too. A form with more exponentials on xs than the
     cap holds (f_{1,64} on 20,000 points) forms them at each point instead.
+    Lazy: a point is summed only when the caller asks for it.
     """
     prec = mp.mp.prec
     form = approx.form
@@ -140,53 +141,43 @@ def grid_values(approx: PolyExpApproximant, xs, start: int, stop: int):
     else:
         exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
     root = sqrt_pi()._mpf_
-    for i in range(start, stop):
-        t = xs[i]._mpf_
+    for i, x in enumerate(xs):
+        t = x._mpf_
         u = mpf_mul(t, t, prec, round_nearest)
         m, e = form._sum_at(plans, t, u, exps_at(i, u), prec)
         yield mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest))
 
 
-def _errors(approx, xs, refs, start: int, stop: int, ctx: PrecisionContext):
-    """Yields the signed 1 - f(x)/erf(x) at xs[start:stop], inside ctx.workdps().
+def _errors(approx, xs, refs, ctx: PrecisionContext):
+    """Yields the signed 1 - f(x)/erf(x) at each point of xs in turn, inside ctx.workdps().
 
     A poly-exp approximant is evaluated in one batch (``grid_values``),
-    anything else point by point through ``value``.
+    anything else point by point through ``value``; either way lazily.
     """
     if isinstance(approx, PolyExpApproximant):
-        values = grid_values(approx, xs, start, stop)
+        values = grid_values(approx, xs)
     else:
-        values = (approx.value(xs[i], ctx) for i in range(start, stop))
-    return (1 - v / refs[i] for i, v in enumerate(values, start))
-
-
-def _held(approx, xs) -> tuple:
-    """The errors the record holds for approx on the grid xs, a prefix of it, or ()."""
-    record = _INNER_ERRORS
-    return record[2] if record is not None and record[0] is xs and record[1] is approx else ()
+        values = (approx.value(x, ctx) for x in xs)
+    return (1 - v / ref for v, ref in zip(values, refs))
 
 
 def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
     """Signed 1 - f(x)/erf(x) on the first n points of the cached grid xs, inside ctx.workdps().
 
-    The record of the last ``optimize_transition`` answers for its inner on
-    its grid; the points past its prefix are evaluated and appended to it. A
+    The record of the last ``optimize_transition`` answers if it is of this
+    approx on this grid tuple and holds n points; else they are evaluated. A
     ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
     1 - 1/erf(x); up to x_o (a prefix: the grid ascends) its errors are its
     inner's.
     """
-    global _INNER_ERRORS
-    held = _held(approx, xs)
-    if held:
-        if len(held) < n:
-            held += tuple(_errors(approx, xs, refs, len(held), n, ctx))
-            _INNER_ERRORS = (xs, approx, held)
-        return held[:n]
+    record = _INNER_ERRORS
+    if record is not None and record[0] is xs and record[1] is approx and len(record[2]) >= n:
+        return record[2][:n]
     if isinstance(approx, PiecewiseApproximant):
         split = bisect_right(xs, approx._bound, hi=n, key=mpf_to_fraction)
         head = _relative_errors(approx.inner, xs, refs, split, ctx)
         return head + tuple(1 - 1 / ref for ref in refs[split:n])
-    return tuple(_errors(approx, xs, refs, 0, n, ctx))
+    return tuple(islice(_errors(approx, xs, refs, ctx), n))
 
 
 @dataclass(frozen=True)
@@ -221,9 +212,9 @@ class SweepReport:
 def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> SweepReport:
     """Relative-error sweep of an approximant against the erf oracle.
 
-    A ``PiecewiseApproximant`` swept right after ``optimize_transition`` of
-    its inner on the same grid, or that inner itself, reuses the inner
-    errors that call recorded and evaluates only the points past them.
+    A ``PiecewiseApproximant`` at x_o swept right after ``optimize_transition``
+    of its inner on the same grid reads that call's record and evaluates
+    nothing; a sweep the record does not cover evaluates from the first point.
     """
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
@@ -289,23 +280,21 @@ def optimize_transition(
     inner curve never reaches the tail curve, x_o is the last grid point and
     tail_never_better is set.
 
-    The signed inner errors up to x_o replace the module's one-grid record,
-    so that a sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid
-    reads them; a record of this inner on this grid is read first.
+    The inner is walked from the first grid point on every call, and its
+    signed errors up to x_o replace the module's one-grid record, so that a
+    sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid reads them.
     """
     global _INNER_ERRORS
     xs, refs = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
         # every tail error: erf_ref can exceed 1 at large x, so the tail is not monotone
         tail_abs = [abs(1 - 1 / ref) for ref in refs]
-        held, errors = _held(inner, xs), []
-        walk = chain(held, _errors(inner, xs, refs, len(held), n_points, ctx))
-        for err, tail in zip(walk, tail_abs):
+        errors = []
+        for err, tail in zip(_errors(inner, xs, refs, ctx), tail_abs):
             errors.append(err)
             if abs(err) >= tail:
                 break
-        if len(errors) > len(held):
-            _INNER_ERRORS = (xs, inner, tuple(errors))
+        _INNER_ERRORS = (xs, inner, tuple(errors))
         inner_abs = [abs(r) for r in errors]
         cross = len(errors) - 1
         if inner_abs[-1] < tail_abs[cross]:  # every point walked, none crossed

@@ -142,6 +142,10 @@ def test_gen_payload_bytes_pinned(family, order):
         (["--family", "taylor", "--tail-terms", "2"], "--family taylor takes no --tail-terms"),
         (["--family", "subinterval"], "--family subinterval needs --subintervals"),
         (["--family", "grid", "--resolution", "0"], "resolution must be positive"),
+        (
+            ["--family", "grid", "--resolution", "1/2", "--interval", "0:-3"],
+            "interval end must be positive, got -3",
+        ),
         (["--family", "spline", "--digits", "10"], "working_digits must be >= 16"),
     ],
     ids=[
@@ -152,6 +156,7 @@ def test_gen_payload_bytes_pinned(family, order):
         "taylor-tail-terms",
         "subinterval-missing-flag",
         "grid-zero-resolution",
+        "grid-negative-end",
         "digits-10",
     ],
 )

@@ -1,7 +1,6 @@
 """The sweep's batch entry: poly-exp approximants on a cached grid, with held exponentials."""
 
 import hashlib
-from collections import OrderedDict
 
 import mpmath as mp
 import pytest
@@ -46,15 +45,6 @@ SWEEP_ERROR_PINS = {
 }
 
 
-@pytest.fixture
-def grid_cache(monkeypatch):
-    """An empty reference-grid cache, with no exponentials held, for one test."""
-    monkeypatch.setattr(transition, "_REF_GRID_CACHE", OrderedDict())
-    monkeypatch.setattr(transition, "_GRID_EXPS", OrderedDict())
-    monkeypatch.setattr(transition, "_INNER_ERRORS", None)
-    return transition._REF_GRID_CACHE
-
-
 def held_values(exps):
     return sum(len(column) for _, column in exps.values())
 
@@ -65,8 +55,7 @@ def pointwise_errors(approx, xs, refs, ctx):
 
 
 @pytest.mark.parametrize("label", CASES)
-def test_sweep_errors_pinned_bit_for_bit(label, monkeypatch):
-    monkeypatch.setattr(transition, "_INNER_ERRORS", None)
+def test_sweep_errors_pinned_bit_for_bit(label, transition_state):
     build, interval, n_points, ctx = CASES[label]
     digest = hashlib.sha256()
     for r in sweep(build(), interval, n_points, ctx).re:
@@ -75,7 +64,7 @@ def test_sweep_errors_pinned_bit_for_bit(label, monkeypatch):
 
 
 @pytest.mark.parametrize("label", [label for label in CASES if not label.startswith("piecewise")])
-def test_held_exps_give_the_cold_and_pointwise_errors(label, grid_cache):
+def test_held_exps_give_the_cold_and_pointwise_errors(label, transition_state):
     build, interval, n_points, ctx = CASES[label]
     approx = build()
     xs, refs = reference_grid(interval, n_points, ctx)
@@ -95,7 +84,7 @@ def test_held_exps_give_the_cold_and_pointwise_errors(label, grid_cache):
         assert transition._relative_errors(approx, xs, refs, 5, ctx) == expected[:5]
 
 
-def test_orders_on_one_grid_share_their_rates(grid_cache):
+def test_orders_on_one_grid_share_their_rates(transition_state):
     # f_{n,4} has the rates j^2/16 for every n, and f_{n,8} the j^2/64: half of
     # them are f_{n,4}'s, so f_{8,8} adds four columns to f_{0,4}'s four
     xs, refs = reference_grid((0, 8), 80, CTX34)
@@ -107,49 +96,50 @@ def test_orders_on_one_grid_share_their_rates(grid_cache):
         assert len(transition._GRID_EXPS) == columns
 
 
-def test_optimize_transition_and_sweep_match_pointwise_errors(grid_cache):
+def test_optimize_transition_and_sweep_match_pointwise_errors(transition_state):
     inner = build_subinterval(4, 16)
     res = optimize_transition(inner, (0, 12), 60, CTX70)
     xs, refs = reference_grid((0, 12), 60, CTX70)
     expected = pointwise_errors(inner, xs, refs, CTX70)
     assert transition._INNER_ERRORS[2] == expected[: xs.index(res.x_o) + 1]  # up to the crossing
-    grid_cache.clear()  # a record for another grid tuple: the piecewise sweep evaluates its prefix
+    transition._REF_GRID_CACHE.clear()  # the record's grid tuple is gone: the sweep evaluates
     piece = PiecewiseApproximant(inner, res.x_o)
     rep = sweep(piece, (0, 12), 60, CTX70)
     assert rep.re == pointwise_errors(piece, rep.xs, reference_grid((0, 12), 60, CTX70)[1], CTX70)
 
 
-def test_exps_of_an_evicted_grid_are_gone(grid_cache, monkeypatch):
+def test_exps_of_an_evicted_grid_are_gone(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     first = sweep(build_subinterval(2, 4), (0, 5), 60, CTX34).xs
     assert {entry[0] for entry in transition._GRID_EXPS.values()} == {first}
     assert held_values(transition._GRID_EXPS) == 4 * 60
     second = sweep(build_spline(2), (0, 6), 60, CTX34).xs  # 120 points: (0, 5] goes
-    assert list(grid_cache.values())[0][0] is second and len(grid_cache) == 1
+    assert [xs for xs, _ in transition._REF_GRID_CACHE.values()] == [second]
     assert [entry[0] for entry in transition._GRID_EXPS.values()] == [second]
     assert held_values(transition._GRID_EXPS) == 60
 
 
-def test_exps_cap_holds_and_keeps_every_grid(grid_cache, monkeypatch):
+def test_exps_cap_holds_and_keeps_every_grid(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_GRID_EXPS_VALUES", 100)
     with CTX34.workdps():
         quarter, one, prec = (-mp.mpf(1) / 4)._mpf_, (-mp.mpf(1))._mpf_, mp.mp.prec
     a = sweep(build_subinterval(0, 2), (0, 5), 40, CTX34).xs  # rates 1/4 and 1: 80 values
     b = sweep(build_spline(4), (0, 6), 40, CTX34).xs  # rate 1 on another grid: 1/4 on a goes
     assert list(transition._GRID_EXPS) == [(id(a), one, prec), (id(b), one, prec)]
-    assert held_values(transition._GRID_EXPS) == 80 and len(grid_cache) == 2
+    assert held_values(transition._GRID_EXPS) == 80 and len(transition._REF_GRID_CACHE) == 2
     # 160 exponentials on 40 points are more than the cap: formed at each point, none held
     approx = build_subinterval(0, 4)
     xs, refs = reference_grid((0, 5), 40, CTX34)
     assert sweep(approx, (0, 5), 40, CTX34).re == pointwise_errors(approx, xs, refs, CTX34)
     assert list(transition._GRID_EXPS) == [(id(a), one, prec), (id(b), one, prec)]
-    assert (id(a), quarter, prec) not in transition._GRID_EXPS and len(grid_cache) == 2
+    assert (id(a), quarter, prec) not in transition._GRID_EXPS
+    assert len(transition._REF_GRID_CACHE) == 2
 
 
-def test_grid_above_the_point_cap_holds_no_exps(grid_cache, monkeypatch):
+def test_grid_above_the_point_cap_holds_no_exps(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     sweep(build_spline(4), (0, 5), 101, CTX34)
-    assert not grid_cache and not transition._GRID_EXPS
+    assert not transition._REF_GRID_CACHE and not transition._GRID_EXPS
 
 
 def test_grid_cache_values_are_the_pairs_the_benchmark_reads():

@@ -208,6 +208,13 @@ def test_bad_inputs():
         build_grid_table(F(0), 4, CTX34)
     with pytest.raises(ValueError):
         build_nonuniform_grid([mp.mpf(2), mp.mpf(1)], CTX34)
+    # the interval end b must be positive and finite
+    for b in (0, -3, F(-1, 2), mp.mpf(0)):
+        with pytest.raises(ValueError, match="interval end must be positive"):
+            covering_grid(2, F(1, 2), (0, b), CTX34)
+    for b in (float("inf"), mp.inf, mp.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            covering_grid(2, F(1, 2), (0, b), CTX34)
 
 
 # sha256 of the _mpf_ of grid values at a fixed sample: 97 sweep points of the

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from collections import Counter, OrderedDict
+from collections import Counter
 
 from erfkit import transition
 from erfkit.exact import RationalPolynomial, mpf_to_fraction
@@ -247,20 +247,6 @@ def test_reference_grid_tells_close_endpoints_apart():
 
 
 @pytest.fixture
-def grid_cache(monkeypatch):
-    """An empty reference-grid cache, with no exponentials held, for one test, restored afterwards."""
-    monkeypatch.setattr(transition, "_REF_GRID_CACHE", OrderedDict())
-    monkeypatch.setattr(transition, "_GRID_EXPS", OrderedDict())
-    return transition._REF_GRID_CACHE
-
-
-@pytest.fixture
-def inner_errors(monkeypatch):
-    """An empty optimize_transition record for one test, restored afterwards."""
-    monkeypatch.setattr(transition, "_INNER_ERRORS", None)
-
-
-@pytest.fixture
 def value_calls(monkeypatch):
     """Counts the points each approximant object (keyed by id) is evaluated at.
 
@@ -271,8 +257,8 @@ def value_calls(monkeypatch):
     calls = Counter()
     batch, value = transition.grid_values, SplineApproximant.value
 
-    def batch_spy(approx, xs, start, stop):
-        for v in batch(approx, xs, start, stop):
+    def batch_spy(approx, xs):
+        for v in batch(approx, xs):
             calls[id(approx)] += 1
             yield v
 
@@ -285,8 +271,8 @@ def value_calls(monkeypatch):
     return calls
 
 
-def cached_points(cache):
-    return sum(len(xs) for xs, _ in cache.values())
+def cached_points():
+    return sum(len(xs) for xs, _ in transition._REF_GRID_CACHE.values())
 
 
 def pointwise_errors(approx, interval, n_points, ctx):
@@ -304,28 +290,35 @@ def crossing(result, interval, n_points, ctx):
     return reference_grid(interval, n_points, ctx)[0].index(result.x_o)
 
 
-def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(inner_errors, value_calls):
+def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(transition_state, value_calls):
     inner = build_spline(4)
-    res = optimize_transition(inner, *RECORD_GRID, CTX34)
+    piece, res = improved(inner, *RECORD_GRID, CTX34)
     assert 0 < value_calls[id(inner)] == crossing(res, *RECORD_GRID, CTX34) + 1 < 120
     value_calls.clear()
-    piece, again = improved(inner, *RECORD_GRID, CTX34)
     rep = sweep(piece, *RECORD_GRID, CTX34)
-    assert again == res and not value_calls
+    assert not value_calls
     assert rep.re == pointwise_errors(piece, *RECORD_GRID, CTX34)
 
 
-@pytest.mark.parametrize("where", ["below-first", "interior", "above-last"])
-def test_piecewise_errors_are_the_pointwise_quotients(where, inner_errors, value_calls):
+@pytest.mark.parametrize("where", ["below-first", "interior", "past-crossing", "above-last"])
+def test_piecewise_errors_are_the_pointwise_quotients(where, transition_state, value_calls):
     inner = build_spline(3)
     xs, _ = reference_grid(*RECORD_GRID, CTX34)
-    x_o = {"below-first": mp.mpf("0.01"), "interior": xs[57], "above-last": mp.mpf(6)}[where]
-    held = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34) + 1
+    cross = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34)
+    x_o = {
+        "below-first": mp.mpf("0.01"),
+        "interior": xs[57],
+        "past-crossing": xs[cross + 10],
+        "above-last": mp.mpf(6),
+    }[where]
+    record = transition._INNER_ERRORS
     value_calls.clear()
     piece = PiecewiseApproximant(inner, x_o)
     rep = sweep(piece, *RECORD_GRID, CTX34)
-    # only the points up to x_o past the recorded prefix are evaluated
-    assert value_calls[id(inner)] == max(0, sum(1 for x in xs if x <= x_o) - held)
+    # the record answers when it holds every point up to x_o; else each of them is evaluated
+    below = sum(1 for x in xs if x <= x_o)
+    assert value_calls[id(inner)] == (0 if below <= cross + 1 else below)
+    assert transition._INNER_ERRORS is record  # a sweep only reads the record
     expected = pointwise_errors(piece, *RECORD_GRID, CTX34)
     assert len(rep.re) == len(expected) == 120
     assert all(r == e for r, e in zip(rep.re, expected))
@@ -333,7 +326,7 @@ def test_piecewise_errors_are_the_pointwise_quotients(where, inner_errors, value
         assert rep.re_b == max(abs(e) for e in expected)
 
 
-def test_record_is_not_reused_for_another_grid_ctx_or_inner(inner_errors, value_calls):
+def test_record_is_not_reused_for_another_grid_ctx_or_inner(transition_state, value_calls):
     inner = build_spline(4)
     x_o = optimize_transition(inner, *RECORD_GRID, CTX34).x_o
     twin = SplineApproximant(inner.order, inner.form)
@@ -354,7 +347,7 @@ def test_record_is_not_reused_for_another_grid_ctx_or_inner(inner_errors, value_
     assert rep.re == sweep(PiecewiseApproximant(twin, x_o), *RECORD_GRID, CTX34).re
 
 
-def test_record_holds_one_grid(inner_errors, value_calls):
+def test_record_holds_one_grid(transition_state, value_calls):
     inner = build_spline(4)
     optimize_transition(inner, (0, 5), 120, CTX34)
     res = optimize_transition(inner, (0, 6), 90, CTX34)
@@ -366,7 +359,7 @@ def test_record_holds_one_grid(inner_errors, value_calls):
     assert value_calls[id(inner)] == 120  # the first grid's errors are gone
 
 
-def test_record_of_an_evicted_grid_is_not_reused(grid_cache, inner_errors, value_calls, monkeypatch):
+def test_record_of_an_evicted_grid_is_not_reused(transition_state, value_calls, monkeypatch):
     # the recomputed grid is a new tuple, so the record no longer matches it
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     inner = build_spline(4)
@@ -381,62 +374,33 @@ def test_record_of_an_evicted_grid_is_not_reused(grid_cache, inner_errors, value
     assert rep.re == pointwise_errors(piece, (0, 5), 60, CTX34)
 
 
-def test_inner_sweep_after_optimize_transition_evaluates_past_the_crossing(inner_errors, value_calls):
-    inner = build_spline(4)
-    res = optimize_transition(inner, *RECORD_GRID, CTX34)
-    held = crossing(res, *RECORD_GRID, CTX34) + 1
-    value_calls.clear()
-    rep = sweep(inner, *RECORD_GRID, CTX34)
-    assert value_calls[id(inner)] == 120 - held > 0
-    assert rep.re == pointwise_errors(inner, *RECORD_GRID, CTX34)
-    # the record now holds every point: a second sweep or search evaluates
-    # nothing, and the search keeps the longer record
-    assert len(transition._INNER_ERRORS[2]) == 120
-    value_calls.clear()
-    assert sweep(inner, *RECORD_GRID, CTX34).re == rep.re and not value_calls
-    assert optimize_transition(inner, *RECORD_GRID, CTX34) == res and not value_calls
-    assert transition._INNER_ERRORS[2] == rep.re
-
-
-def test_piecewise_sweep_past_the_crossing_evaluates_the_points_between(inner_errors, value_calls):
-    inner = build_spline(4)
-    xs, _ = reference_grid(*RECORD_GRID, CTX34)
-    cross = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34)
-    value_calls.clear()
-    piece = PiecewiseApproximant(inner, xs[cross + 10])
-    rep = sweep(piece, *RECORD_GRID, CTX34)
-    assert value_calls[id(inner)] == 10
-    assert rep.re == pointwise_errors(piece, *RECORD_GRID, CTX34)
-    assert len(transition._INNER_ERRORS[2]) == cross + 11
-
-
-def test_reference_grid_shares_equal_endpoints(grid_cache):
+def test_reference_grid_shares_equal_endpoints(transition_state):
     first = reference_grid((0, 0.5), 43, CTX34)
     assert reference_grid((0, F(1, 2)), 43, CTX34) is first
     assert reference_grid((F(0), "0.5"), 43, CTX34) is first
-    assert len(grid_cache) == 1 and cached_points(grid_cache) == 43
+    assert len(transition._REF_GRID_CACHE) == 1 and cached_points() == 43
 
 
-def test_reference_grid_cache_evicts_least_recently_used(grid_cache, monkeypatch):
+def test_reference_grid_cache_evicts_least_recently_used(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     a = reference_grid((0, 1), 40, CTX34)
     b = reference_grid((0, 2), 40, CTX34)
     assert reference_grid((0, 1), 40, CTX34) is a  # a hit makes (0,1] the most recent
     c = reference_grid((0, 3), 40, CTX34)
-    assert list(grid_cache.values()) == [a, c]  # 120 points: (0,2] went first
-    assert cached_points(grid_cache) == 80
+    assert list(transition._REF_GRID_CACHE.values()) == [a, c]  # 120 points: (0,2] went first
+    assert cached_points() == 80
     assert reference_grid((0, 2), 40, CTX34) is not b  # recomputed, equal, evicting (0,1]
     assert reference_grid((0, 2), 40, CTX34) == b
-    assert list(grid_cache.values()) == [c, reference_grid((0, 2), 40, CTX34)]
+    assert list(transition._REF_GRID_CACHE.values()) == [c, reference_grid((0, 2), 40, CTX34)]
     assert reference_grid((0, 3), 40, CTX34) is c
 
 
-def test_grid_above_the_cap_is_returned_not_kept(grid_cache, monkeypatch):
+def test_grid_above_the_cap_is_returned_not_kept(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     small = reference_grid((0, 1), 30, CTX34)
     xs, refs = reference_grid((0, 1), 101, CTX34)
     assert len(xs) == len(refs) == 101
-    assert list(grid_cache.values()) == [small]
+    assert list(transition._REF_GRID_CACHE.values()) == [small]
 
 
 @pytest.mark.parametrize(
@@ -444,7 +408,7 @@ def test_grid_above_the_cap_is_returned_not_kept(grid_cache, monkeypatch):
     [((1, 0), 3), ((2, 2), 10), ((-1, 1), 4), ((0, 1), 1), ((0, 1), 0)],
     ids=["reversed", "empty", "negative-a", "one-point", "no-points"],
 )
-def test_bad_grids_are_value_errors(interval, n_points, grid_cache):
+def test_bad_grids_are_value_errors(interval, n_points, transition_state):
     # each of these puts a point on x = 0 or is no interval of at least 2 points
     reference_grid((0, 1), 7, CTX34)
     inner = build_spline(2)
@@ -456,7 +420,7 @@ def test_bad_grids_are_value_errors(interval, n_points, grid_cache):
     ):
         with pytest.raises(ValueError, match="0 <= a < b and at least 2 points"):
             run()
-    assert len(grid_cache) == 1 and cached_points(grid_cache) == 7
+    assert len(transition._REF_GRID_CACHE) == 1 and cached_points() == 7
 
 
 @pytest.mark.parametrize("which", ["chu", "neuman", "yang"])
@@ -498,7 +462,7 @@ def test_piecewise_rejects_an_inner_that_is_not_odd_approximant(inner):
         PiecewiseApproximant(inner, 2)
 
 
-def test_improved_rejects_a_gaussian_inner_before_any_grid(grid_cache, inner_errors, monkeypatch):
+def test_improved_rejects_a_gaussian_inner_before_any_grid(transition_state, monkeypatch):
     evaluated = []
     value = RationalFunctionApproximant.value
 
@@ -509,12 +473,12 @@ def test_improved_rejects_a_gaussian_inner_before_any_grid(grid_cache, inner_err
     monkeypatch.setattr(RationalFunctionApproximant, "value", spy)
     with pytest.raises(ValueError, match="inner must be an OddApproximant"):
         improved(build_gauss_g(4), (0, 5), 40, CTX34)
-    assert not grid_cache and not evaluated and transition._INNER_ERRORS is None
+    assert not transition._REF_GRID_CACHE and not evaluated and transition._INNER_ERRORS is None
 
 
 # x_o = 3.5 is grid point 7 of (0, 5] with N = 10, between grid points 3 and 4
 @pytest.mark.parametrize("x_o", [F(7, 2), "3.5"], ids=["fraction", "str"])
-def test_piecewise_exact_x_o_sweeps_as_the_mpf(x_o, inner_errors):
+def test_piecewise_exact_x_o_sweeps_as_the_mpf(x_o, transition_state):
     inner = build_spline(2)
     given = sweep(PiecewiseApproximant(inner, x_o), (0, 5), 10, CTX34)
     as_mpf = sweep(PiecewiseApproximant(inner, mp.mpf(3.5)), (0, 5), 10, CTX34)
@@ -538,7 +502,7 @@ def _x_o_forms():
 
 @pytest.mark.parametrize("with_record", [True, False], ids=["record", "no-record"])
 @pytest.mark.parametrize("form", sorted(_x_o_forms()))
-def test_piecewise_sweep_splits_exactly_at_x_o(form, with_record, inner_errors):
+def test_piecewise_sweep_splits_exactly_at_x_o(form, with_record, transition_state):
     inner, x_o = build_spline(3), _x_o_forms()[form]
     if with_record:
         optimize_transition(inner, (0, 5), 40, CTX34)

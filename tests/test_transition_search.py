@@ -32,8 +32,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("label", CASES)
-def test_search_equals_the_all_points_walk(label, monkeypatch):
-    monkeypatch.setattr(transition, "_INNER_ERRORS", None)
+def test_search_equals_the_all_points_walk(label, transition_state):
     build, interval, n_points, ctx, cross = CASES[label]
     inner = build()
     got = optimize_transition(inner, interval, n_points, ctx)
