@@ -271,13 +271,12 @@ def cmd_sweep(args) -> int:
     if args.transition == "auto":
         approx, _ = improved(approx, interval, args.points, ctx)
     elif args.transition not in (None, "none"):
-        with ctx.workdps():
-            try:
-                x_o = as_mpf(args.transition)
-            except ValueError as exc:
-                msg = "--transition must be auto, none or a finite number, got %r"
-                raise ValueError(msg % args.transition) from exc
-        approx = PiecewiseApproximant(approx, x_o)
+        try:
+            with ctx.workdps():
+                approx = PiecewiseApproximant(approx, as_mpf(args.transition))
+        except ValueError as exc:
+            msg = "--transition must be auto, none or a finite number >= 0, got %r"
+            raise ValueError(msg % args.transition) from exc
     report = run_sweep(approx, interval, args.points, ctx)
     out, close = _open_out(args.out)
     writer = csv.writer(out)

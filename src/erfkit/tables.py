@@ -185,7 +185,7 @@ TABLE9 = [
 def _transition_rows(build, interval, table, rows, ctx):
     """Tables 3-6: the improved order-n approximant of each row on 10000 points."""
     with ctx.workdps():
-        step = (mp.mpf(interval[1]) - mp.mpf(interval[0])) / 10000
+        step = grid_step(interval, 10000)[1]
     out = []
     for n, xo_p, reb_p in rows:
         res = optimize_transition(build(n), interval, 10000, ctx)

@@ -6,22 +6,21 @@ never reaches the relative-error quotient. Reference values are cached per
 (interval, N, digits) because table reproduction reuses the same grids many
 times; the cache keeps the most recently used grids up to a total point count.
 
-A poly-exp approximant (spline, sub-interval, Taylor, erf series) is swept in
-one batch (``grid_values``): per point u = x*x is rounded once, and each decay
-rate's e^(-k x_i^2) is computed once per cached grid and held beside it, so
-every order on that grid with that rate reuses it (f_{n,m} has the rates
-j^2/m^2 for every n). Those are the operations ``value`` does, so every error
-is the point-by-point quotient's, bit for bit. Other approximants go through
-``value`` point by point.
+A cached grid is a ``SweepGrid``. A poly-exp approximant (spline,
+sub-interval, Taylor, erf series) is swept in one batch (``grid_values``): per
+point u = x*x is rounded once, and each decay rate's e^(-k x_i^2) is computed
+once per grid and held on it, so every order on that grid with that rate
+reuses it (f_{n,m} has the rates j^2/m^2 for every n). Those are the
+operations ``value`` does, so every error is the point-by-point quotient's,
+bit for bit. Other approximants go through ``value`` point by point.
 
-``optimize_transition`` evaluates its inner approximant only up to the
-crossing x_o and writes those signed errors, a prefix of one grid, into a
-one-slot record that sweeps only read. A sweep of that very inner object, or
-of a ``PiecewiseApproximant`` around it, on that very cached grid tuple reads
-the record if it holds every point needed (up to x_o for a piecewise sweep,
-whose error beyond x_o is 1 - 1/erf(x)), and else evaluates them from the
-first point. Approximants must therefore not change between the calls. A
-grid built again after eviction is a new tuple, which no record matches.
+``optimize_transition`` evaluates its inner only up to the crossing x_o and
+writes those signed errors into the grid's record, which sweeps only read. A
+sweep of that very inner object, or of a ``PiecewiseApproximant`` around it,
+on that grid reads the record if it holds every point needed (up to x_o for a
+piecewise sweep, whose error beyond x_o is 1 - 1/erf(x)), and else evaluates
+them from the first point, so approximants must not change between the calls.
+An evicted grid takes its exponentials and record with it.
 x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
 """
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -42,7 +41,7 @@ from .exact import PolyExpSum, RationalPolynomial, as_mpf, exp_parts, mpf_to_fra
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
 
-# Cached grids, least recently used first: key -> (xs, refs). At most
+# Cached grids, least recently used first: key -> SweepGrid. At most
 # _REF_GRID_CACHE_POINTS points in all (about 500 bytes each at 34-70 digits,
 # so 50 MB). One table holds at most 23,000 (Table 10), the certify-warm
 # benchmark's three shared grids at most 706, and the whole test suite, every
@@ -50,20 +49,27 @@ from .spline import PolyExpApproximant
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
 
-# Exponentials of cached grids, least recently used first: (id(xs), -k, prec)
-# -> (xs, e^(-k x_i^2) per point as a (mantissa, exponent) pair). An entry
-# goes with its grid, and a grid that is not kept gets none. At most
-# _GRID_EXPS_VALUES pairs in all, apart from the grid cap (110-175 bytes each
-# at 34-70 digits, so at most 35 MB, against 500 bytes a grid point): Table 6
-# holds 160,000 (16 rates on 10,000 points), the certify-warm benchmark 3,100.
-# Holding xs keeps id(xs) from being reused while the entry is held.
-_GRID_EXPS: OrderedDict = OrderedDict()
+# Held exponentials on the cached grids in all; over it the least recently used grid's oldest go
+# first. 110-175 bytes each at 34-70 digits, so 35 MB: Table 6 holds 160,000 (16 rates on 10,000
+# points), the certify-warm benchmark 3,100.
 _GRID_EXPS_VALUES = 200_000
 
-# (grid xs, inner, signed errors) of the last optimize_transition, its only writer, or None.
-# The strong references keep their ids from being reused while they are
-# held, so a match by identity is sound.
-_INNER_ERRORS = None
+
+@dataclass(eq=False, repr=False)
+class SweepGrid:
+    """Points xs, erf references refs and what the sweeps of one grid share; unpacks as (xs, refs).
+
+    ``exps``: (-k, prec) -> e^(-k x_i^2) per point as ``exp_parts`` pairs. ``record``: the
+    last ``optimize_transition``'s (inner, signed errors up to x_o) on this grid, or None.
+    """
+
+    xs: tuple
+    refs: tuple
+    exps: dict = field(default_factory=dict)
+    record: tuple = None
+
+    def __iter__(self):
+        return iter((self.xs, self.refs))
 
 
 def grid_step(interval, n_points: int) -> tuple:
@@ -81,8 +87,8 @@ def grid_points(interval, n_points: int):
     return (am + i * step for i in range(1, n_points + 1))
 
 
-def reference_grid(interval, n_points: int, ctx: PrecisionContext):
-    """Grid points and cached erf references for a sweep specification.
+def reference_grid(interval, n_points: int, ctx: PrecisionContext) -> SweepGrid:
+    """The ``SweepGrid`` of a sweep specification, with cached erf references.
 
     Keyed by the endpoints as mpf at the working precision, the exact values
     the grid is computed from. A hit becomes the most recently used grid; a
@@ -95,89 +101,81 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext):
             _REF_GRID_CACHE.move_to_end(key)
             return hit
         xs = tuple(grid_points(interval, n_points))
-        hit = (xs, tuple(erf_ref(x, ctx) for x in xs))
+        hit = SweepGrid(xs, tuple(erf_ref(x, ctx) for x in xs))
     if n_points <= _REF_GRID_CACHE_POINTS:  # a larger grid is returned, not kept
         _REF_GRID_CACHE[key] = hit
-        total = sum(len(cached) for cached, _ in _REF_GRID_CACHE.values())
+        total = sum(len(grid.xs) for grid in _REF_GRID_CACHE.values())
         while total > _REF_GRID_CACHE_POINTS:
-            gone = _REF_GRID_CACHE.popitem(last=False)[1][0]
-            total -= len(gone)
-            for exps_key in [k for k in _GRID_EXPS if k[0] == id(gone)]:
-                del _GRID_EXPS[exps_key]
+            total -= len(_REF_GRID_CACHE.popitem(last=False)[1].xs)
     return hit
 
 
-def _grid_exps(xs, negk, prec: int) -> tuple:
-    """e^(-k x^2) at every point of the grid xs (``exp_parts`` pairs), held while xs is cached."""
-    key = (id(xs), negk, prec)
-    hit = _GRID_EXPS.get(key)
-    if hit is not None:
-        _GRID_EXPS.move_to_end(key)
-        return hit[1]
-    exps = tuple(exp_parts(negk, mpf_mul(x._mpf_, x._mpf_, prec, round_nearest), prec) for x in xs)
-    if any(cached is xs for cached, _ in _REF_GRID_CACHE.values()):
-        _GRID_EXPS[key] = (xs, exps)
-        total = sum(len(held) for _, held in _GRID_EXPS.values())
-        while total > _GRID_EXPS_VALUES:
-            total -= len(_GRID_EXPS.popitem(last=False)[1][1])
+def _grid_exps(grid: SweepGrid, negk, prec: int) -> tuple:
+    """e^(-k x^2) at every point of the grid (``exp_parts`` pairs), held on it."""
+    exps = grid.exps.get((negk, prec))
+    if exps is None:
+        squares = (mpf_mul(x._mpf_, x._mpf_, prec, round_nearest) for x in grid.xs)
+        exps = grid.exps[negk, prec] = tuple(exp_parts(negk, u, prec) for u in squares)
+        total = sum(len(held) for g in _REF_GRID_CACHE.values() for held in g.exps.values())
+        for cached in _REF_GRID_CACHE.values():
+            while total > _GRID_EXPS_VALUES and cached.exps:
+                total -= len(cached.exps.pop(next(iter(cached.exps))))
     return exps
 
 
-def grid_values(approx: PolyExpApproximant, xs):
-    """Yields ``approx.value`` at each point of xs in turn, bit for bit, inside its ctx.workdps().
+def grid_values(approx: PolyExpApproximant, grid: SweepGrid):
+    """Yields ``approx.value`` at each grid point in turn, bit for bit, inside its ctx.workdps().
 
     The batch entry of a sweep: per point u = x*x is rounded once, and each
     rate's e^(-k u) comes from ``_grid_exps``; ``PolyExpSum._sum_at`` is the
-    kernel ``value`` runs too. A form with more exponentials on xs than the
-    cap holds (f_{1,64} on 20,000 points) forms them at each point instead.
+    kernel ``value`` runs too. A form with more exponentials on the grid than
+    the cap holds (f_{1,64} on 20,000 points) forms them at each point instead.
     Lazy: a point is summed only when the caller asks for it.
     """
     prec = mp.mp.prec
     form = approx.form
     plans = form.plan(prec)
-    if sum(negk is not None for negk, _ in plans) * len(xs) <= _GRID_EXPS_VALUES:
-        columns = [None if negk is None else _grid_exps(xs, negk, prec) for negk, _ in plans]
+    if sum(negk is not None for negk, _ in plans) * len(grid.xs) <= _GRID_EXPS_VALUES:
+        columns = [None if negk is None else _grid_exps(grid, negk, prec) for negk, _ in plans]
         exps_at = lambda i, u: [None if column is None else column[i] for column in columns]
     else:
         exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
     root = sqrt_pi()._mpf_
-    for i, x in enumerate(xs):
+    for i, x in enumerate(grid.xs):
         t = x._mpf_
         u = mpf_mul(t, t, prec, round_nearest)
         m, e = form._sum_at(plans, t, u, exps_at(i, u), prec)
         yield mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest))
 
 
-def _errors(approx, xs, refs, ctx: PrecisionContext):
-    """Yields the signed 1 - f(x)/erf(x) at each point of xs in turn, inside ctx.workdps().
+def _errors(approx, grid: SweepGrid, ctx: PrecisionContext):
+    """Yields the signed 1 - f(x)/erf(x) at each point of the grid in turn, inside ctx.workdps().
 
     A poly-exp approximant is evaluated in one batch (``grid_values``),
     anything else point by point through ``value``; either way lazily.
     """
     if isinstance(approx, PolyExpApproximant):
-        values = grid_values(approx, xs)
+        values = grid_values(approx, grid)
     else:
-        values = (approx.value(x, ctx) for x in xs)
-    return (1 - v / ref for v, ref in zip(values, refs))
+        values = (approx.value(x, ctx) for x in grid.xs)
+    return (1 - v / ref for v, ref in zip(values, grid.refs))
 
 
-def _relative_errors(approx, xs, refs, n: int, ctx: PrecisionContext) -> tuple:
-    """Signed 1 - f(x)/erf(x) on the first n points of the cached grid xs, inside ctx.workdps().
+def _relative_errors(approx, grid: SweepGrid, n: int, ctx: PrecisionContext) -> tuple:
+    """Signed 1 - f(x)/erf(x) on the first n points of the grid, inside ctx.workdps().
 
-    The record of the last ``optimize_transition`` answers if it is of this
-    approx on this grid tuple and holds n points; else they are evaluated. A
-    ``PiecewiseApproximant`` is 1 beyond x_o, where its error is
-    1 - 1/erf(x); up to x_o (a prefix: the grid ascends) its errors are its
-    inner's.
+    The grid's record answers if it is of this approx and holds n points;
+    else they are evaluated. A ``PiecewiseApproximant`` is 1 beyond x_o,
+    where its error is 1 - 1/erf(x); up to x_o (a prefix: the grid ascends)
+    its errors are its inner's.
     """
-    record = _INNER_ERRORS
-    if record is not None and record[0] is xs and record[1] is approx and len(record[2]) >= n:
-        return record[2][:n]
+    if grid.record is not None and grid.record[0] is approx and len(grid.record[1]) >= n:
+        return grid.record[1][:n]
     if isinstance(approx, PiecewiseApproximant):
-        split = bisect_right(xs, approx._bound, hi=n, key=mpf_to_fraction)
-        head = _relative_errors(approx.inner, xs, refs, split, ctx)
-        return head + tuple(1 - 1 / ref for ref in refs[split:n])
-    return tuple(islice(_errors(approx, xs, refs, ctx), n))
+        split = bisect_right(grid.xs, approx._bound, hi=n, key=mpf_to_fraction)
+        head = _relative_errors(approx.inner, grid, split, ctx)
+        return head + tuple(1 - 1 / ref for ref in grid.refs[split:n])
+    return tuple(islice(_errors(approx, grid, ctx), n))
 
 
 @dataclass(frozen=True)
@@ -212,23 +210,23 @@ class SweepReport:
 def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> SweepReport:
     """Relative-error sweep of an approximant against the erf oracle.
 
-    A ``PiecewiseApproximant`` at x_o swept right after ``optimize_transition``
-    of its inner on the same grid reads that call's record and evaluates
+    A ``PiecewiseApproximant`` at x_o swept after ``optimize_transition`` of
+    its inner on the same grid reads that grid's record and evaluates
     nothing; a sweep the record does not cover evaluates from the first point.
     """
-    xs, refs = reference_grid(interval, n_points, ctx)
+    grid = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
-        res = _relative_errors(approx, xs, refs, n_points, ctx)
+        res = _relative_errors(approx, grid, n_points, ctx)
         best_i = max(range(n_points), key=lambda i: abs(res[i]))
         best = abs(res[best_i])
     return SweepReport(
         interval=(interval[0], interval[1]),
         n_points=n_points,
         digits=ctx.working_digits,
-        xs=xs,
+        xs=grid.xs,
         re=res,
         re_b=best,
-        argmax_x=xs[best_i],
+        argmax_x=grid.xs[best_i],
         argmax_index=best_i,
     )
 
@@ -247,11 +245,13 @@ class PiecewiseApproximant(OddApproximant):
 
     def __post_init__(self):
         _check_inner(self.inner)
+        msg = "x_o must be a finite number >= 0, got %r" % (self.x_o,)
         try:
-            bound = mpf_to_fraction(self.x_o)
+            object.__setattr__(self, "_bound", mpf_to_fraction(self.x_o))
         except (TypeError, ValueError) as exc:
-            raise ValueError("x_o must be a finite number, got %r" % (self.x_o,)) from exc
-        object.__setattr__(self, "_bound", bound)
+            raise ValueError(msg) from exc
+        if self._bound < 0:
+            raise ValueError(msg)
 
     def positive(self, xm, ctx: PrecisionContext):
         return self.inner.positive(xm, ctx) if mpf_to_fraction(xm) <= self._bound else mp.mpf(1)
@@ -281,26 +281,25 @@ def optimize_transition(
     tail_never_better is set.
 
     The inner is walked from the first grid point on every call, and its
-    signed errors up to x_o replace the module's one-grid record, so that a
-    sweep of ``PiecewiseApproximant(inner, x_o)`` on this grid reads them.
+    signed errors up to x_o replace the grid's record, so that a sweep of
+    ``PiecewiseApproximant(inner, x_o)`` on this grid reads them.
     """
-    global _INNER_ERRORS
-    xs, refs = reference_grid(interval, n_points, ctx)
+    grid = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
         # every tail error: erf_ref can exceed 1 at large x, so the tail is not monotone
-        tail_abs = [abs(1 - 1 / ref) for ref in refs]
+        tail_abs = [abs(1 - 1 / ref) for ref in grid.refs]
         errors = []
-        for err, tail in zip(_errors(inner, xs, refs, ctx), tail_abs):
+        for err, tail in zip(_errors(inner, grid, ctx), tail_abs):
             errors.append(err)
             if abs(err) >= tail:
                 break
-        _INNER_ERRORS = (xs, inner, tuple(errors))
+        grid.record = (inner, tuple(errors))
         inner_abs = [abs(r) for r in errors]
         cross = len(errors) - 1
         if inner_abs[-1] < tail_abs[cross]:  # every point walked, none crossed
-            return TransitionResult(xs[-1], max(inner_abs), tail_never_better=True)
+            return TransitionResult(grid.xs[-1], max(inner_abs), tail_never_better=True)
         bound = max(chain(inner_abs, islice(tail_abs, cross + 1, None)))
-    return TransitionResult(xs[cross], bound, tail_never_better=False)
+    return TransitionResult(grid.xs[cross], bound, tail_never_better=False)
 
 
 def improved(inner, interval, n_points: int, ctx: PrecisionContext = CTX34):

@@ -261,7 +261,7 @@ def test_sweep_transition_auto(tmp_path):
     assert abs(float(last_re)) < 2e-3
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc", "-1"])
 def test_sweep_rejects_bad_transition(value, tmp_path):
     # a NaN x_o would fail every comparison and sweep the constant 1
     with pytest.raises(SystemExit) as exc:
@@ -270,7 +270,7 @@ def test_sweep_rejects_bad_transition(value, tmp_path):
             "--transition", value, "--out", str(tmp_path / "s.csv"),
         )
     assert exc.value.code not in (0, None)
-    assert "--transition must be auto, none or a finite number" in str(exc.value.code)
+    assert "--transition must be auto, none or a finite number >= 0" in str(exc.value.code)
 
 
 def test_sweep_grid_tabulates_the_swept_interval(monkeypatch, tmp_path):

@@ -1,4 +1,4 @@
-"""Smoke test: the quick demos run to completion against the library in src/."""
+"""Smoke test: every demo runs to completion against the library in src/."""
 
 import os
 import subprocess
@@ -9,11 +9,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Demos 02, 03 and 06 take about 100 s together and are left to manual runs.
-QUICK_DEMOS = ["01_spline_families.py", "04_sqrt_dynamical_system.py", "05_gaussian_and_series.py"]
+# Demos 02, 03 and 06 take several seconds each; 02 and 06 sweep the piecewise
+# approximant right after its transition search, reading the grid's record.
+DEMOS = ["01_spline_families.py", "04_sqrt_dynamical_system.py", "05_gaussian_and_series.py"] + [
+    pytest.param(demo, marks=pytest.mark.slow)
+    for demo in ("02_transition_points.py", "03_subintervals_and_grids.py", "06_bounds_and_signals.py")
+]
 
 
-@pytest.mark.parametrize("demo", QUICK_DEMOS)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,6 +1,7 @@
 """The sweep's batch entry: poly-exp approximants on a cached grid, with held exponentials."""
 
 import hashlib
+import weakref
 
 import mpmath as mp
 import pytest
@@ -10,7 +11,14 @@ from erfkit.gauss import build_erf_series
 from erfkit.oracle import CTX34, CTX70
 from erfkit.spline import build_spline
 from erfkit.subinterval import build_subinterval
-from erfkit.transition import PiecewiseApproximant, optimize_transition, reference_grid, sweep, taylor
+from erfkit.transition import (
+    PiecewiseApproximant,
+    SweepGrid,
+    optimize_transition,
+    reference_grid,
+    sweep,
+    taylor,
+)
 
 # label -> (approximant, interval, points, context). Grids of the certify-warm
 # benchmark's shape; the piecewise row sweeps its inner up to x_o, a prefix.
@@ -46,7 +54,7 @@ SWEEP_ERROR_PINS = {
 
 
 def held_values(exps):
-    return sum(len(column) for _, column in exps.values())
+    return sum(len(column) for column in exps.values())
 
 
 def pointwise_errors(approx, xs, refs, ctx):
@@ -67,89 +75,99 @@ def test_sweep_errors_pinned_bit_for_bit(label, transition_state):
 def test_held_exps_give_the_cold_and_pointwise_errors(label, transition_state):
     build, interval, n_points, ctx = CASES[label]
     approx = build()
-    xs, refs = reference_grid(interval, n_points, ctx)
-    expected = pointwise_errors(approx, xs, refs, ctx)
+    grid = reference_grid(interval, n_points, ctx)
+    expected = pointwise_errors(approx, *grid, ctx)
     rates = sum(1 for rate in approx.form.rates if rate)
     with ctx.workdps():
-        # a grid that is not cached: every exponential computed, none held
-        cold = transition._relative_errors(approx, tuple(list(xs)), refs, n_points, ctx)
-        assert cold == expected and not transition._GRID_EXPS
+        # a grid that is not cached: every exponential computed afresh, none held on the cached one
+        cold = transition._relative_errors(approx, SweepGrid(*grid), n_points, ctx)
+        assert cold == expected and not grid.exps
         # a prefix fills the held exponentials of the whole grid, one per rate
-        assert transition._relative_errors(approx, xs, refs, 37, ctx) == expected[:37]
-        assert len(transition._GRID_EXPS) == rates
-        assert held_values(transition._GRID_EXPS) == rates * n_points
-        held = dict(transition._GRID_EXPS)
-        warm = transition._relative_errors(approx, xs, refs, n_points, ctx)
-        assert warm == expected and transition._GRID_EXPS == held
-        assert transition._relative_errors(approx, xs, refs, 5, ctx) == expected[:5]
+        assert transition._relative_errors(approx, grid, 37, ctx) == expected[:37]
+        assert len(grid.exps) == rates
+        assert held_values(grid.exps) == rates * n_points
+        held = dict(grid.exps)
+        warm = transition._relative_errors(approx, grid, n_points, ctx)
+        assert warm == expected and grid.exps == held
+        assert transition._relative_errors(approx, grid, 5, ctx) == expected[:5]
 
 
 def test_orders_on_one_grid_share_their_rates(transition_state):
     # f_{n,4} has the rates j^2/16 for every n, and f_{n,8} the j^2/64: half of
     # them are f_{n,4}'s, so f_{8,8} adds four columns to f_{0,4}'s four
-    xs, refs = reference_grid((0, 8), 80, CTX34)
+    grid = reference_grid((0, 8), 80, CTX34)
     for approx, columns in ((build_subinterval(0, 4), 4), (build_subinterval(16, 4), 4),
                             (build_subinterval(8, 8), 8), (build_spline(12), 8)):
         with CTX34.workdps():
-            errors = transition._relative_errors(approx, xs, refs, 80, CTX34)
-        assert errors == pointwise_errors(approx, xs, refs, CTX34)
-        assert len(transition._GRID_EXPS) == columns
+            errors = transition._relative_errors(approx, grid, 80, CTX34)
+        assert errors == pointwise_errors(approx, *grid, CTX34)
+        assert len(grid.exps) == columns
 
 
 def test_optimize_transition_and_sweep_match_pointwise_errors(transition_state):
     inner = build_subinterval(4, 16)
     res = optimize_transition(inner, (0, 12), 60, CTX70)
-    xs, refs = reference_grid((0, 12), 60, CTX70)
-    expected = pointwise_errors(inner, xs, refs, CTX70)
-    assert transition._INNER_ERRORS[2] == expected[: xs.index(res.x_o) + 1]  # up to the crossing
-    transition._REF_GRID_CACHE.clear()  # the record's grid tuple is gone: the sweep evaluates
+    grid = reference_grid((0, 12), 60, CTX70)
+    expected = pointwise_errors(inner, *grid, CTX70)
+    assert grid.record[1] == expected[: grid.xs.index(res.x_o) + 1]  # up to the crossing
+    transition._REF_GRID_CACHE.clear()  # the grid and its record are gone: the sweep evaluates
     piece = PiecewiseApproximant(inner, res.x_o)
     rep = sweep(piece, (0, 12), 60, CTX70)
-    assert rep.re == pointwise_errors(piece, rep.xs, reference_grid((0, 12), 60, CTX70)[1], CTX70)
+    assert rep.re == pointwise_errors(piece, *reference_grid((0, 12), 60, CTX70), CTX70)
 
 
 def test_exps_of_an_evicted_grid_are_gone(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
-    first = sweep(build_subinterval(2, 4), (0, 5), 60, CTX34).xs
-    assert {entry[0] for entry in transition._GRID_EXPS.values()} == {first}
-    assert held_values(transition._GRID_EXPS) == 4 * 60
-    second = sweep(build_spline(2), (0, 6), 60, CTX34).xs  # 120 points: (0, 5] goes
-    assert [xs for xs, _ in transition._REF_GRID_CACHE.values()] == [second]
-    assert [entry[0] for entry in transition._GRID_EXPS.values()] == [second]
-    assert held_values(transition._GRID_EXPS) == 60
+    sweep(build_subinterval(2, 4), (0, 5), 60, CTX34)
+    first = weakref.ref(reference_grid((0, 5), 60, CTX34))
+    assert held_values(first().exps) == 4 * 60
+    sweep(build_spline(2), (0, 6), 60, CTX34)  # 120 points: (0, 5] goes
+    second = reference_grid((0, 6), 60, CTX34)
+    assert list(transition._REF_GRID_CACHE.values()) == [second]
+    assert first() is None  # nothing holds the evicted grid, so its exponentials went with it
+    assert held_values(second.exps) == 60
 
 
 def test_exps_cap_holds_and_keeps_every_grid(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_GRID_EXPS_VALUES", 100)
     with CTX34.workdps():
         quarter, one, prec = (-mp.mpf(1) / 4)._mpf_, (-mp.mpf(1))._mpf_, mp.mp.prec
-    a = sweep(build_subinterval(0, 2), (0, 5), 40, CTX34).xs  # rates 1/4 and 1: 80 values
-    b = sweep(build_spline(4), (0, 6), 40, CTX34).xs  # rate 1 on another grid: 1/4 on a goes
-    assert list(transition._GRID_EXPS) == [(id(a), one, prec), (id(b), one, prec)]
-    assert held_values(transition._GRID_EXPS) == 80 and len(transition._REF_GRID_CACHE) == 2
+    sweep(build_subinterval(0, 2), (0, 5), 40, CTX34)  # rates 1/4 and 1: 80 values
+    a = reference_grid((0, 5), 40, CTX34)
+    assert list(a.exps) == [(quarter, prec), (one, prec)]
+    sweep(build_spline(4), (0, 6), 40, CTX34)  # rate 1 on another grid: 1/4 on a goes
+    b = reference_grid((0, 6), 40, CTX34)
+    assert list(a.exps) == list(b.exps) == [(one, prec)]
+    assert held_values(a.exps) + held_values(b.exps) == 80
+    assert list(transition._REF_GRID_CACHE.values()) == [a, b]
     # 160 exponentials on 40 points are more than the cap: formed at each point, none held
     approx = build_subinterval(0, 4)
-    xs, refs = reference_grid((0, 5), 40, CTX34)
-    assert sweep(approx, (0, 5), 40, CTX34).re == pointwise_errors(approx, xs, refs, CTX34)
-    assert list(transition._GRID_EXPS) == [(id(a), one, prec), (id(b), one, prec)]
-    assert (id(a), quarter, prec) not in transition._GRID_EXPS
-    assert len(transition._REF_GRID_CACHE) == 2
+    assert sweep(approx, (0, 5), 40, CTX34).re == pointwise_errors(approx, *a, CTX34)
+    assert list(a.exps) == list(b.exps) == [(one, prec)]
+    assert list(transition._REF_GRID_CACHE.values()) == [b, a]
 
 
 def test_grid_above_the_point_cap_holds_no_exps(transition_state, monkeypatch):
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
+    grids, fill = [], transition.reference_grid
+
+    def spy(*spec):
+        grid = fill(*spec)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(transition, "reference_grid", spy)
     sweep(build_spline(4), (0, 5), 101, CTX34)
-    assert not transition._REF_GRID_CACHE and not transition._GRID_EXPS
+    # the grid is returned, not kept, so its exponentials go when the sweep returns
+    assert not transition._REF_GRID_CACHE and len(grids) == 1 and grids[0]() is None
 
 
 def test_grid_cache_values_are_the_pairs_the_benchmark_reads():
     # perfbench/worker.py counts the points held as sum(len(xs) for xs, _ in values)
     optimize_transition(build_subinterval(4, 4), (0, 8), 30, CTX34)
     sweep(build_subinterval(4, 16), (0, 12), 20, CTX70)
-    assert transition._GRID_EXPS
     cache = transition._REF_GRID_CACHE
     for (a, b, n_points, ctx), value in cache.items():
-        assert type(value) is tuple and len(value) == 2
         xs, refs = value
         assert len(xs) == len(refs) == n_points
     assert sum(len(xs) for xs, _ in cache.values()) == sum(key[2] for key in cache)

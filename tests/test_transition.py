@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -257,8 +258,8 @@ def value_calls(monkeypatch):
     calls = Counter()
     batch, value = transition.grid_values, SplineApproximant.value
 
-    def batch_spy(approx, xs):
-        for v in batch(approx, xs):
+    def batch_spy(approx, grid):
+        for v in batch(approx, grid):
             calls[id(approx)] += 1
             yield v
 
@@ -287,7 +288,7 @@ RECORD_GRID = ((0, 5), 120)
 
 def crossing(result, interval, n_points, ctx):
     """Index of x_o on the grid: the search evaluates its inner at points 0..crossing."""
-    return reference_grid(interval, n_points, ctx)[0].index(result.x_o)
+    return reference_grid(interval, n_points, ctx).xs.index(result.x_o)
 
 
 def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(transition_state, value_calls):
@@ -303,7 +304,8 @@ def test_piecewise_sweep_after_optimize_transition_evaluates_nothing(transition_
 @pytest.mark.parametrize("where", ["below-first", "interior", "past-crossing", "above-last"])
 def test_piecewise_errors_are_the_pointwise_quotients(where, transition_state, value_calls):
     inner = build_spline(3)
-    xs, _ = reference_grid(*RECORD_GRID, CTX34)
+    grid = reference_grid(*RECORD_GRID, CTX34)
+    xs = grid.xs
     cross = crossing(optimize_transition(inner, *RECORD_GRID, CTX34), *RECORD_GRID, CTX34)
     x_o = {
         "below-first": mp.mpf("0.01"),
@@ -311,14 +313,14 @@ def test_piecewise_errors_are_the_pointwise_quotients(where, transition_state, v
         "past-crossing": xs[cross + 10],
         "above-last": mp.mpf(6),
     }[where]
-    record = transition._INNER_ERRORS
+    record = grid.record
     value_calls.clear()
     piece = PiecewiseApproximant(inner, x_o)
     rep = sweep(piece, *RECORD_GRID, CTX34)
     # the record answers when it holds every point up to x_o; else each of them is evaluated
     below = sum(1 for x in xs if x <= x_o)
     assert value_calls[id(inner)] == (0 if below <= cross + 1 else below)
-    assert transition._INNER_ERRORS is record  # a sweep only reads the record
+    assert grid.record is record  # a sweep only reads the record
     expected = pointwise_errors(piece, *RECORD_GRID, CTX34)
     assert len(rep.re) == len(expected) == 120
     assert all(r == e for r, e in zip(rep.re, expected))
@@ -347,30 +349,45 @@ def test_record_is_not_reused_for_another_grid_ctx_or_inner(transition_state, va
     assert rep.re == sweep(PiecewiseApproximant(twin, x_o), *RECORD_GRID, CTX34).re
 
 
-def test_record_holds_one_grid(transition_state, value_calls):
+def test_each_grid_holds_its_own_record(transition_state, value_calls):
     inner = build_spline(4)
-    optimize_transition(inner, (0, 5), 120, CTX34)
-    res = optimize_transition(inner, (0, 6), 90, CTX34)
-    grid, held, errors = transition._INNER_ERRORS
-    assert grid is reference_grid((0, 6), 90, CTX34)[0] and held is inner
-    assert len(errors) == crossing(res, (0, 6), 90, CTX34) + 1
+    first = optimize_transition(inner, (0, 5), 120, CTX34)
+    second = optimize_transition(inner, (0, 6), 90, CTX34)
+    for (interval, n_points), res in (((0, 5), 120), first), (((0, 6), 90), second):
+        held, errors = reference_grid(interval, n_points, CTX34).record
+        assert held is inner and len(errors) == crossing(res, interval, n_points, CTX34) + 1
+        value_calls.clear()
+        piece = PiecewiseApproximant(inner, res.x_o)
+        rep = sweep(piece, interval, n_points, CTX34)
+        assert value_calls[id(inner)] == 0
+        assert rep.re == pointwise_errors(piece, interval, n_points, CTX34)
     value_calls.clear()
     sweep(PiecewiseApproximant(inner, mp.mpf(6)), (0, 5), 120, CTX34)
-    assert value_calls[id(inner)] == 120  # the first grid's errors are gone
+    assert value_calls[id(inner)] == 120  # past the record's crossing: every point
+
+
+def test_a_search_on_another_grid_keeps_the_first_grids_record(transition_state, value_calls):
+    first, _ = improved(build_spline(4), (0, 5), 50, CTX34)
+    improved(build_spline(6), (0, 6), 50, CTX34)
+    value_calls.clear()
+    rep = sweep(first, (0, 5), 50, CTX34)
+    assert not value_calls
+    assert rep.re == pointwise_errors(first, (0, 5), 50, CTX34)
 
 
 def test_record_of_an_evicted_grid_is_not_reused(transition_state, value_calls, monkeypatch):
-    # the recomputed grid is a new tuple, so the record no longer matches it
+    # the grid, its record with it, is freed on eviction; the grid built again has no record
     monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
     inner = build_spline(4)
     x_o = optimize_transition(inner, (0, 5), 60, CTX34).x_o
-    held = transition._INNER_ERRORS[0]
+    evicted = weakref.ref(reference_grid((0, 5), 60, CTX34))
+    assert evicted().record[0] is inner
     reference_grid((0, 6), 60, CTX34)  # 120 points: (0, 5] goes
+    assert evicted() is None
     value_calls.clear()
     piece = PiecewiseApproximant(inner, x_o)
     rep = sweep(piece, (0, 5), 60, CTX34)
-    assert rep.xs is not held and rep.xs == held
-    assert value_calls[id(inner)] == sum(1 for x in held if x <= x_o) > 0
+    assert value_calls[id(inner)] == sum(1 for x in rep.xs if x <= x_o) > 0
     assert rep.re == pointwise_errors(piece, (0, 5), 60, CTX34)
 
 
@@ -390,7 +407,7 @@ def test_reference_grid_cache_evicts_least_recently_used(transition_state, monke
     assert list(transition._REF_GRID_CACHE.values()) == [a, c]  # 120 points: (0,2] went first
     assert cached_points() == 80
     assert reference_grid((0, 2), 40, CTX34) is not b  # recomputed, equal, evicting (0,1]
-    assert reference_grid((0, 2), 40, CTX34) == b
+    assert tuple(reference_grid((0, 2), 40, CTX34)) == tuple(b)
     assert list(transition._REF_GRID_CACHE.values()) == [c, reference_grid((0, 2), 40, CTX34)]
     assert reference_grid((0, 3), 40, CTX34) is c
 
@@ -473,7 +490,7 @@ def test_improved_rejects_a_gaussian_inner_before_any_grid(transition_state, mon
     monkeypatch.setattr(RationalFunctionApproximant, "value", spy)
     with pytest.raises(ValueError, match="inner must be an OddApproximant"):
         improved(build_gauss_g(4), (0, 5), 40, CTX34)
-    assert not transition._REF_GRID_CACHE and not evaluated and transition._INNER_ERRORS is None
+    assert not transition._REF_GRID_CACHE and not evaluated
 
 
 # x_o = 3.5 is grid point 7 of (0, 5] with N = 10, between grid points 3 and 4
@@ -526,8 +543,9 @@ def test_piecewise_exact_x_o_values_as_the_mpf(x_o):
 
 @pytest.mark.parametrize(
     "x_o",
-    [mp.nan, mp.inf, float("nan"), float("-inf"), "nan", "abc", None, [1]],
-    ids=["mpf-nan", "mpf-inf", "float-nan", "float-inf", "str-nan", "str", "none", "list"],
+    [mp.nan, mp.inf, float("nan"), float("-inf"), "nan", "abc", None, [1], -1, mp.mpf(-1), "-0.5"],
+    ids=["mpf-nan", "mpf-inf", "float-nan", "float-inf", "str-nan", "str", "none", "list",
+         "negative-int", "negative-mpf", "negative-str"],
 )
 def test_piecewise_rejects_bad_x_o_at_construction(x_o):
     with pytest.raises(ValueError, match="x_o"):

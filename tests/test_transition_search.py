@@ -2,7 +2,6 @@
 
 import pytest
 
-from erfkit import transition
 from erfkit.oracle import CTX34, CTX70
 from erfkit.spline import build_spline
 from erfkit.sqrtform import build_sqrt
@@ -39,9 +38,9 @@ def test_search_equals_the_all_points_walk(label, transition_state):
     want = all_points_search(inner, interval, n_points, ctx)
     assert got.x_o == want.x_o and got.re_b == want.re_b
     assert got.tail_never_better == want.tail_never_better == (cross is None)
-    xs, _ = reference_grid(interval, n_points, ctx)
-    assert got.x_o is xs[n_points - 1 if cross is None else cross]
-    # the record holds the evaluated prefix: up to the crossing, or every point
-    grid, held, errors = transition._INNER_ERRORS
-    assert grid is xs and held is inner
+    grid = reference_grid(interval, n_points, ctx)
+    assert got.x_o is grid.xs[n_points - 1 if cross is None else cross]
+    # the grid's record holds the evaluated prefix: up to the crossing, or every point
+    held, errors = grid.record
+    assert held is inner
     assert len(errors) == (n_points if cross is None else cross + 1)
