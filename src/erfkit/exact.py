@@ -4,13 +4,14 @@ Generators sum integer numerators and build each coefficient's Fraction once,
 so the very large table denominators (1e13 and beyond) are produced, not
 transcribed. Floating point enters only through evaluation: each polynomial's
 ``plan`` rounds its coefficients once per binary precision, and one Horner
-kernel (``horner``) evaluates every polynomial and poly-exp sum on Python-int
-(mantissa, exponent) pairs. It rounds the same operations in the same order as
-the mpf Horner loop it replaced, so every value is that loop's value bit for
+kernel (``horner``) evaluates every polynomial on Python-int (mantissa,
+exponent) pairs; a poly-exp sum adds its terms with horner's add step
+(``PolyExpSum._sum_at``). They round the same operations in the same order as
+the mpf loops they replaced, so every value is those loops' value bit for
 bit. The one rounding rule, half to even as mpf arithmetic rounds
 (``_rounded``), is written out inline in the two hot loops: ``horner`` and the
 erf oracle's. The kernels take u = x*x (and a poly-exp sum its exponentials)
-from the caller, so a sweep forms them once per point, or once per grid.
+from the caller, so a sweep forms them once per grid.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def horner(coeffs: tuple, tm: int, te: int, prec: int) -> tuple:
     bit. Mantissas are signed and not normalised; a zero coefficient skips
     its add (adding 0 returns the rounded product unchanged). Returns
     (mantissa, exponent). ``_rounded`` is written out inline: this loop is
-    the evaluation hot path. A multiply by t = 1 changes no value, so
-    ``horner(((0, 0, 0),) + terms, 1, 0, prec)`` is the terms' running sum.
+    the evaluation hot path. t = 1 is never passed: ``PolyExpSum._sum_at``
+    writes the add step out rather than multiply by 1 and recount bits.
     """
     it = iter(coeffs)
     m, e, _ = next(it)
@@ -380,16 +381,24 @@ class PolyExpSum:
         prec and exps holds, per term, e^(-k u) as ``exp_parts`` gives it (None
         for k = 0). Every product and the running sum are rounded as the mpf
         loop rounds them. ``eval_raw`` is the one-point call; a sweep passes u
-        and exps formed once per point and per grid.
+        and exps held on the grid.
         """
         xm, xe = _finite_parts(t)
-        parts = [(0, 0, 0)]
+        m = e = 0
         for (_, plan), ex in zip(plans, exps):
-            m, e = _plan_at(plan, xm, xe, u, prec)
-            if ex is not None and m:
-                m, e = _rounded(m * ex[0], e + ex[1], prec)
-            parts.append((m, e, e + m.bit_length()))
-        return horner(parts, 1, 0, prec)
+            tm, te = _plan_at(plan, xm, xe, u, prec)
+            if ex is not None and tm:
+                tm, te = _rounded(tm * ex[0], te + ex[1], prec)
+            if not tm:
+                continue
+            # ``horner``'s add step: an addend past the prec + 4 bit margin cannot move the sum
+            gap = e + m.bit_length() - te - tm.bit_length()
+            if not m or gap < -prec - 4:
+                m, e = tm, te
+            elif gap <= prec + 4:
+                low = min(e, te)
+                m, e = _rounded((m << (e - low)) + (tm << (te - low)), low, prec)
+        return m, e
 
     def _sum_mpf(self, plans, x):
         """``_sum_at`` at the mpf x as an mpf at the current precision, u and exps formed here."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_div, mpf_sign, mpf_sqrt, round_nearest
 
 from .exact import (
     PolyExpSum,
@@ -59,15 +60,20 @@ class SqrtForm(OddApproximant):
             return self.radicand().eval_raw(as_mpf(x))
 
     def positive(self, xm, ctx: PrecisionContext):
-        r = self.radicand().eval_raw(xm)
-        if r < 0:
-            if r < -(mp.mpf(10) ** (-(ctx.working_digits - 2))):
-                raise ArithmeticError(
-                    "radicand significantly negative at x=%s: %s"
-                    % (mp.nstr(xm, 8), mp.nstr(r, 5))
-                )
-            r = mp.mpf(0)
-        return mp.sqrt(r) / sqrt_pi()
+        return mp.make_mpf(self.root(self.radicand().eval_raw(xm)._mpf_, xm, ctx))
+
+    def root(self, r: tuple, xm, ctx: PrecisionContext) -> tuple:
+        """sqrt(r)/sqrt(pi) at the current precision, r the radicand at xm; both ``_mpf_`` tuples.
+
+        A radicand a rounding hair below zero counts as 0; one further below is an ArithmeticError.
+        """
+        if mpf_sign(r) < 0:
+            if (rm := mp.make_mpf(r)) < -(mp.mpf(10) ** (-(ctx.working_digits - 2))):
+                msg = "radicand significantly negative at x=%s: %s"
+                raise ArithmeticError(msg % (mp.nstr(xm, 8), mp.nstr(rm, 5)))
+            r = fzero
+        prec = mp.mp.prec
+        return mpf_div(mpf_sqrt(r, prec, round_nearest), sqrt_pi()._mpf_, prec, round_nearest)
 
 
 def sqrt_transform(base: PolyExpSum, base_order: int = -1) -> SqrtForm:

@@ -6,13 +6,17 @@ never reaches the relative-error quotient. Reference values are cached per
 (interval, N, digits) because table reproduction reuses the same grids many
 times; the cache keeps the most recently used grids up to a total point count.
 
-A cached grid is a ``SweepGrid``. A poly-exp approximant (spline,
-sub-interval, Taylor, erf series) is swept in one batch (``grid_values``): per
-point u = x*x is rounded once, and each decay rate's e^(-k x_i^2) is computed
-once per grid and held on it, so every order on that grid with that rate
-reuses it (f_{n,m} has the rates j^2/m^2 for every n). Those are the
-operations ``value`` does, so every error is the point-by-point quotient's,
-bit for bit. Other approximants go through ``value`` point by point.
+A cached grid is a ``SweepGrid``. Besides its points and erf references it
+holds, formed the first time a sweep needs them, the rounded squares u = x*x,
+the signed constant-1 tail errors 1 - 1/erf(x), each decay rate's
+e^(-k x_i^2) (so every order on that grid with that rate reuses it: f_{n,m}
+has the rates j^2/m^2 for every n) and the search record below. A poly-exp
+approximant (spline, sub-interval, Taylor, erf series) or a ``SqrtForm``
+(whose radicand is a poly-exp sum) is swept in one batch (``grid_values``)
+on libmp ``_mpf_`` tuples. It rounds the operations ``value`` and the mpf
+expression 1 - f/erf round, so every error is the point-by-point quotient's,
+bit for bit; mpf objects are made only for the errors a caller keeps. Other
+approximants go through ``value`` point by point.
 
 ``optimize_transition`` evaluates its inner only up to the crossing x_o and
 writes those signed errors into the grid's record, which sweeps only read. A
@@ -20,7 +24,7 @@ sweep of that very inner object, or of a ``PiecewiseApproximant`` around it,
 on that grid reads the record if it holds every point needed (up to x_o for a
 piecewise sweep, whose error beyond x_o is 1 - 1/erf(x)), and else evaluates
 them from the first point, so approximants must not change between the calls.
-An evicted grid takes its exponentials and record with it.
+An evicted grid takes all it holds with it.
 x <= x_o is decided on exact values (``exact.mpf_to_fraction``).
 """
 
@@ -31,21 +35,23 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import chain, islice
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import fone, from_man_exp, mpf_abs, mpf_cmp, mpf_div, mpf_ge, mpf_lt, mpf_mul
+from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest
 
 from .exact import PolyExpSum, RationalPolynomial, as_mpf, exp_parts, mpf_to_fraction
 from .oracle import CTX34, OddApproximant, PrecisionContext, erf_ref, sqrt_pi
 from .spline import PolyExpApproximant
+from .sqrtform import SqrtForm
 
 # Cached grids, least recently used first: key -> SweepGrid. At most
-# _REF_GRID_CACHE_POINTS points in all (about 500 bytes each at 34-70 digits,
-# so 50 MB). One table holds at most 23,000 (Table 10), the certify-warm
-# benchmark's three shared grids at most 706, and the whole test suite, every
-# table in one process, 99,215.
+# _REF_GRID_CACHE_POINTS points in all (about 800 bytes each at 34-70 digits
+# with their squares and tails, so 80 MB). One table holds at most 23,000
+# (Table 10), the certify-warm benchmark's three shared grids at most 706, and
+# the whole test suite, every table in one process, 99,215.
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
 
@@ -54,13 +60,17 @@ _REF_GRID_CACHE_POINTS = 100_000
 # points), the certify-warm benchmark 3,100.
 _GRID_EXPS_VALUES = 200_000
 
+_by_value = cmp_to_key(mpf_cmp)  # orders ``_mpf_`` tuples by the numbers they hold
+
 
 @dataclass(eq=False, repr=False)
 class SweepGrid:
     """Points xs, erf references refs and what the sweeps of one grid share; unpacks as (xs, refs).
 
+    ``squares`` and ``tails``: per point, x*x and 1 - 1/ref as ``_mpf_`` tuples, rounded at the
+    current precision (every sweep of a grid runs inside its ctx.workdps()) when first read.
     ``exps``: (-k, prec) -> e^(-k x_i^2) per point as ``exp_parts`` pairs. ``record``: the
-    last ``optimize_transition``'s (inner, signed errors up to x_o) on this grid, or None.
+    last ``optimize_transition``'s (inner, signed mpf errors up to x_o) on this grid, or None.
     """
 
     xs: tuple
@@ -70,6 +80,17 @@ class SweepGrid:
 
     def __iter__(self):
         return iter((self.xs, self.refs))
+
+    @cached_property
+    def squares(self) -> tuple:
+        prec = mp.mp.prec
+        return tuple(mpf_mul(x._mpf_, x._mpf_, prec, round_nearest) for x in self.xs)
+
+    @cached_property
+    def tails(self) -> tuple:
+        prec = mp.mp.prec
+        inverses = (mpf_rdiv_int(1, ref._mpf_, prec, round_nearest) for ref in self.refs)
+        return tuple(mpf_sub(fone, q, prec, round_nearest) for q in inverses)
 
 
 def grid_step(interval, n_points: int) -> tuple:
@@ -114,8 +135,7 @@ def _grid_exps(grid: SweepGrid, negk, prec: int) -> tuple:
     """e^(-k x^2) at every point of the grid (``exp_parts`` pairs), held on it."""
     exps = grid.exps.get((negk, prec))
     if exps is None:
-        squares = (mpf_mul(x._mpf_, x._mpf_, prec, round_nearest) for x in grid.xs)
-        exps = grid.exps[negk, prec] = tuple(exp_parts(negk, u, prec) for u in squares)
+        exps = grid.exps[negk, prec] = tuple(exp_parts(negk, u, prec) for u in grid.squares)
         total = sum(len(held) for g in _REF_GRID_CACHE.values() for held in g.exps.values())
         for cached in _REF_GRID_CACHE.values():
             while total > _GRID_EXPS_VALUES and cached.exps:
@@ -123,58 +143,61 @@ def _grid_exps(grid: SweepGrid, negk, prec: int) -> tuple:
     return exps
 
 
-def grid_values(approx: PolyExpApproximant, grid: SweepGrid):
-    """Yields ``approx.value`` at each grid point in turn, bit for bit, inside its ctx.workdps().
+def grid_values(approx, grid: SweepGrid, ctx: PrecisionContext):
+    """Yields ``approx.value`` at each grid point as an ``_mpf_``, bit for bit, inside ctx.workdps().
 
-    The batch entry of a sweep: per point u = x*x is rounded once, and each
-    rate's e^(-k u) comes from ``_grid_exps``; ``PolyExpSum._sum_at`` is the
-    kernel ``value`` runs too. A form with more exponentials on the grid than
-    the cap holds (f_{1,64} on 20,000 points) forms them at each point instead.
-    Lazy: a point is summed only when the caller asks for it.
+    The batch entry of a sweep of a poly-exp approximant or a ``SqrtForm``: ``PolyExpSum._sum_at``,
+    the kernel ``value`` runs too, reads the grid's squares and each rate's e^(-k u) from
+    ``_grid_exps`` (a form with more exponentials on the grid than the cap holds forms them at each
+    point), then divides by sqrt(pi) or takes ``SqrtForm.root``. Lazy: a point is summed only when
+    the caller asks for it.
     """
     prec = mp.mp.prec
-    form = approx.form
+    if isinstance(approx, SqrtForm):
+        form = approx.radicand()
+        finish = lambda r, x: approx.root(r, x, ctx)
+    else:
+        form, root = approx.form, sqrt_pi()._mpf_
+        finish = lambda r, x: mpf_div(r, root, prec, round_nearest)
     plans = form.plan(prec)
     if sum(negk is not None for negk, _ in plans) * len(grid.xs) <= _GRID_EXPS_VALUES:
         columns = [None if negk is None else _grid_exps(grid, negk, prec) for negk, _ in plans]
         exps_at = lambda i, u: [None if column is None else column[i] for column in columns]
     else:
         exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
-    root = sqrt_pi()._mpf_
-    for i, x in enumerate(grid.xs):
-        t = x._mpf_
-        u = mpf_mul(t, t, prec, round_nearest)
-        m, e = form._sum_at(plans, t, u, exps_at(i, u), prec)
-        yield mp.make_mpf(mpf_div(from_man_exp(m, e, prec, round_nearest), root, prec, round_nearest))
+    for i, (x, u) in enumerate(zip(grid.xs, grid.squares)):
+        m, e = form._sum_at(plans, x._mpf_, u, exps_at(i, u), prec)
+        yield finish(from_man_exp(m, e, prec, round_nearest), x)
 
 
 def _errors(approx, grid: SweepGrid, ctx: PrecisionContext):
-    """Yields the signed 1 - f(x)/erf(x) at each point of the grid in turn, inside ctx.workdps().
+    """Yields the signed 1 - f(x)/erf(x) at each grid point as an ``_mpf_``, inside ctx.workdps().
 
-    A poly-exp approximant is evaluated in one batch (``grid_values``),
-    anything else point by point through ``value``; either way lazily.
+    A poly-exp or sqrt-form approximant is evaluated in one batch (``grid_values``), anything else
+    point by point through ``value``; either way lazily, rounded as the mpf expression rounds.
     """
-    if isinstance(approx, PolyExpApproximant):
-        values = grid_values(approx, grid)
+    prec = mp.mp.prec
+    if isinstance(approx, (PolyExpApproximant, SqrtForm)):
+        values = grid_values(approx, grid, ctx)
     else:
-        values = (approx.value(x, ctx) for x in grid.xs)
-    return (1 - v / ref for v, ref in zip(values, grid.refs))
+        values = (approx.value(x, ctx)._mpf_ for x in grid.xs)
+    for v, ref in zip(values, grid.refs):
+        yield mpf_sub(fone, mpf_div(v, ref._mpf_, prec, round_nearest), prec, round_nearest)
 
 
 def _relative_errors(approx, grid: SweepGrid, n: int, ctx: PrecisionContext) -> tuple:
-    """Signed 1 - f(x)/erf(x) on the first n points of the grid, inside ctx.workdps().
+    """Signed 1 - f(x)/erf(x) on the first n points of the grid as ``_mpf_``, inside ctx.workdps().
 
     The grid's record answers if it is of this approx and holds n points;
     else they are evaluated. A ``PiecewiseApproximant`` is 1 beyond x_o,
-    where its error is 1 - 1/erf(x); up to x_o (a prefix: the grid ascends)
-    its errors are its inner's.
+    where its errors are the grid's tails; up to x_o (a prefix: the grid
+    ascends) its errors are its inner's.
     """
     if grid.record is not None and grid.record[0] is approx and len(grid.record[1]) >= n:
-        return grid.record[1][:n]
+        return tuple(r._mpf_ for r in grid.record[1][:n])
     if isinstance(approx, PiecewiseApproximant):
         split = bisect_right(grid.xs, approx._bound, hi=n, key=mpf_to_fraction)
-        head = _relative_errors(approx.inner, grid, split, ctx)
-        return head + tuple(1 - 1 / ref for ref in grid.refs[split:n])
+        return _relative_errors(approx.inner, grid, split, ctx) + grid.tails[split:n]
     return tuple(islice(_errors(approx, grid, ctx), n))
 
 
@@ -217,15 +240,14 @@ def sweep(approx, interval, n_points: int, ctx: PrecisionContext = CTX34) -> Swe
     grid = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
         res = _relative_errors(approx, grid, n_points, ctx)
-        best_i = max(range(n_points), key=lambda i: abs(res[i]))
-        best = abs(res[best_i])
+    best_i = max(range(n_points), key=lambda i: _by_value(mpf_abs(res[i])))
     return SweepReport(
         interval=(interval[0], interval[1]),
         n_points=n_points,
         digits=ctx.working_digits,
         xs=grid.xs,
-        re=res,
-        re_b=best,
+        re=tuple(map(mp.make_mpf, res)),
+        re_b=mp.make_mpf(mpf_abs(res[best_i])),
         argmax_x=grid.xs[best_i],
         argmax_index=best_i,
     )
@@ -276,9 +298,9 @@ def optimize_transition(
     The smallest qualifying grid point is taken; the returned re_B is the
     max of the inner errors up to x_o and the tail errors beyond it.
 
-    The inner is evaluated only up to x_o, the tail at every point. When the
-    inner curve never reaches the tail curve, x_o is the last grid point and
-    tail_never_better is set.
+    The inner is evaluated only up to x_o; the tail errors are the grid's,
+    formed once per grid. When the inner curve never reaches the tail curve,
+    x_o is the last grid point and tail_never_better is set.
 
     The inner is walked from the first grid point on every call, and its
     signed errors up to x_o replace the grid's record, so that a sweep of
@@ -286,20 +308,19 @@ def optimize_transition(
     """
     grid = reference_grid(interval, n_points, ctx)
     with ctx.workdps():
-        # every tail error: erf_ref can exceed 1 at large x, so the tail is not monotone
-        tail_abs = [abs(1 - 1 / ref) for ref in grid.refs]
         errors = []
-        for err, tail in zip(_errors(inner, grid, ctx), tail_abs):
+        for err, tail in zip(_errors(inner, grid, ctx), grid.tails):
             errors.append(err)
-            if abs(err) >= tail:
+            if mpf_ge(mpf_abs(err), mpf_abs(tail)):
                 break
-        grid.record = (inner, tuple(errors))
-        inner_abs = [abs(r) for r in errors]
-        cross = len(errors) - 1
-        if inner_abs[-1] < tail_abs[cross]:  # every point walked, none crossed
-            return TransitionResult(grid.xs[-1], max(inner_abs), tail_never_better=True)
-        bound = max(chain(inner_abs, islice(tail_abs, cross + 1, None)))
-    return TransitionResult(grid.xs[cross], bound, tail_never_better=False)
+    grid.record = (inner, tuple(map(mp.make_mpf, errors)))
+    inner_max = max(map(mpf_abs, errors), key=_by_value)
+    cross = len(errors) - 1
+    if mpf_lt(mpf_abs(errors[-1]), mpf_abs(grid.tails[cross])):  # every point walked, none crossed
+        return TransitionResult(grid.xs[-1], mp.make_mpf(inner_max), tail_never_better=True)
+    # every tail past x_o: erf_ref can exceed 1 at large x, so the tail is not monotone
+    bound = max(chain((inner_max,), map(mpf_abs, grid.tails[cross + 1 :])), key=_by_value)
+    return TransitionResult(grid.xs[cross], mp.make_mpf(bound), tail_never_better=False)
 
 
 def improved(inner, interval, n_points: int, ctx: PrecisionContext = CTX34):

@@ -1,7 +1,8 @@
-"""The sweep's batch entry: poly-exp approximants on a cached grid, with held exponentials."""
+"""The sweep's batch entry: poly-exp approximants and sqrt forms on a cached grid, with held values."""
 
 import hashlib
 import weakref
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -10,6 +11,7 @@ from erfkit import transition
 from erfkit.gauss import build_erf_series
 from erfkit.oracle import CTX34, CTX70
 from erfkit.spline import build_spline
+from erfkit.sqrtform import SqrtForm, build_sqrt, sqrt_transform
 from erfkit.subinterval import build_subinterval
 from erfkit.transition import (
     PiecewiseApproximant,
@@ -62,6 +64,11 @@ def pointwise_errors(approx, xs, refs, ctx):
         return tuple(1 - approx.value(x, ctx) / ref for x, ref in zip(xs, refs))
 
 
+def pointwise_tuples(approx, xs, refs, ctx):
+    """``pointwise_errors`` as the ``_mpf_`` tuples the walk yields."""
+    return tuple(e._mpf_ for e in pointwise_errors(approx, xs, refs, ctx))
+
+
 @pytest.mark.parametrize("label", CASES)
 def test_sweep_errors_pinned_bit_for_bit(label, transition_state):
     build, interval, n_points, ctx = CASES[label]
@@ -76,7 +83,7 @@ def test_held_exps_give_the_cold_and_pointwise_errors(label, transition_state):
     build, interval, n_points, ctx = CASES[label]
     approx = build()
     grid = reference_grid(interval, n_points, ctx)
-    expected = pointwise_errors(approx, *grid, ctx)
+    expected = pointwise_tuples(approx, *grid, ctx)
     rates = sum(1 for rate in approx.form.rates if rate)
     with ctx.workdps():
         # a grid that is not cached: every exponential computed afresh, none held on the cached one
@@ -100,7 +107,7 @@ def test_orders_on_one_grid_share_their_rates(transition_state):
                             (build_subinterval(8, 8), 8), (build_spline(12), 8)):
         with CTX34.workdps():
             errors = transition._relative_errors(approx, grid, 80, CTX34)
-        assert errors == pointwise_errors(approx, *grid, CTX34)
+        assert errors == pointwise_tuples(approx, *grid, CTX34)
         assert len(grid.exps) == columns
 
 
@@ -171,3 +178,46 @@ def test_grid_cache_values_are_the_pairs_the_benchmark_reads():
         xs, refs = value
         assert len(xs) == len(refs) == n_points
     assert sum(len(xs) for xs, _ in cache.values()) == sum(key[2] for key in cache)
+
+
+@pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])
+def test_held_squares_and_tails_are_the_mpf_values(ctx, transition_state, monkeypatch):
+    monkeypatch.setattr(transition, "_REF_GRID_CACHE_POINTS", 100)
+    sweep(build_subinterval(2, 4), (0, 12), 60, ctx)
+    grid = reference_grid((0, 12), 60, ctx)
+    with ctx.workdps():
+        assert grid.squares == tuple((x * x)._mpf_ for x in grid.xs)
+        assert grid.tails == tuple((1 - 1 / ref)._mpf_ for ref in grid.refs)
+    # held beside the exponentials, not among them: the cap counts the four rates' columns only
+    assert held_values(grid.exps) == 4 * 60
+    assert not {id(grid.squares), id(grid.tails)} & {id(column) for column in grid.exps.values()}
+    evicted = weakref.ref(grid)
+    del grid
+    reference_grid((0, 5), 60, CTX34)  # 120 points: (0, 12] goes, its squares and tails with it
+    assert evicted() is None
+
+
+# label -> (sqrt form, interval, points): Table 8's grid, and two near 0; on
+# (0, 1e-22] the n = 12 radicand is a rounding hair below zero at 3 of the 20
+# points at 34 digits, so the walk takes the clamp there
+SQRT_CASES = {
+    "n=0": (lambda: build_sqrt(0), (0, 30), 3000),
+    "n=20": (lambda: build_sqrt(20), (0, 30), 3000),
+    "sqrt(f_1,4)": (lambda: sqrt_transform(build_subinterval(1, 4).form, 1), (0, 30), 3000),
+    "n=12 near 0": (lambda: build_sqrt(12), (0, Fraction(1, 1000)), 200),
+    "n=12 at 1e-22": (lambda: build_sqrt(12), (0, Fraction(1, 10**22)), 20),
+}
+
+
+@pytest.mark.parametrize("ctx", [CTX34, CTX70], ids=["d34", "d70"])
+def test_sqrt_form_sweeps_are_the_pointwise_errors(ctx, transition_state):
+    for label, (build, interval, n_points) in SQRT_CASES.items():
+        form = build()
+        rep = sweep(form, interval, n_points, ctx)
+        assert rep.re == pointwise_errors(form, *reference_grid(interval, n_points, ctx), ctx), label
+    # a radicand well below zero is an error in the walk as in ``value``
+    negative = SqrtForm(base_order=-1, q0=Fraction(-1), terms=())
+    with pytest.raises(ArithmeticError, match="radicand significantly negative"):
+        negative.value(1, ctx)
+    with pytest.raises(ArithmeticError, match="radicand significantly negative"):
+        sweep(negative, (0, 1), 10, ctx)

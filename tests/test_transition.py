@@ -252,14 +252,14 @@ def value_calls(monkeypatch):
     """Counts the points each approximant object (keyed by id) is evaluated at.
 
     A sweep evaluates a spline in one lazy batch, ``transition.grid_values``,
-    whose every yielded value counts one point; a ``SplineApproximant.value``
-    call counts one point too.
+    whose every yielded ``_mpf_`` value counts one point; a
+    ``SplineApproximant.value`` call counts one point too.
     """
     calls = Counter()
     batch, value = transition.grid_values, SplineApproximant.value
 
-    def batch_spy(approx, grid):
-        for v in batch(approx, grid):
+    def batch_spy(approx, grid, ctx):
+        for v in batch(approx, grid, ctx):
             calls[id(approx)] += 1
             yield v
 

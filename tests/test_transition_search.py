@@ -44,3 +44,5 @@ def test_search_equals_the_all_points_walk(label, transition_state):
     held, errors = grid.record
     assert held is inner
     assert len(errors) == (n_points if cross is None else cross + 1)
+    with ctx.workdps():
+        assert errors == tuple(1 - inner.value(x, ctx) / ref for x, ref in zip(*grid))[: len(errors)]
