@@ -21,6 +21,14 @@ from .spline import build_spline
 log = logging.getLogger(__name__)
 
 
+def _amplitude(a):
+    """a as mpf at the current precision; a ValueError unless a > 0 (and finite)."""
+    am = as_mpf(a)
+    if am <= 0:
+        raise ValueError("amplitude must be positive")
+    return am
+
+
 def output_power(a, ctx: PrecisionContext = CTX34):
     """Closed-form output power from the order-3 sqrt approximant.
 
@@ -30,9 +38,7 @@ def output_power(a, ctx: PrecisionContext = CTX34):
          + (37a^2/(140 pi)) I1(a^2)(1 + 43a^2/222 + 2a^4/111) e^(-a^2)
     """
     with ctx.workdps():
-        am = as_mpf(a)
-        if am <= 0:
-            raise ValueError("amplitude must be positive")
+        am = _amplitude(a)
         pi = mp.pi
         u = am * am
         eh = mp.exp(-u / 2)
@@ -81,11 +87,15 @@ def output_power_quadrature(a, ctx: PrecisionContext = CTX34):
     The integrand has period 1/2, so the rule integrates over [0, 1/2].
     """
     with ctx.workdps():
-        am = as_mpf(a)
+        am = _amplitude(a)
         two_pi = 2 * mp.pi
+        squares = {}  # erf^2 by argument: nodes t and 1/2 - t give the same sine, bit for bit
 
         def f(t):
-            return erf_ref(am * mp.sin(two_pi * t), ctx) ** 2
+            u = am * mp.sin(two_pi * t)
+            if u._mpf_ not in squares:
+                squares[u._mpf_] = erf_ref(u, ctx) ** 2
+            return squares[u._mpf_]
 
         return _periodic_trapezoid(f, mp.mpf(1) / 2, ctx, 256) * 2
 
@@ -108,9 +118,7 @@ def harmonic_levels(a, k: int, ctx: PrecisionContext = CTX34):
     if k not in (1, 3, 5, 7):
         raise ValueError("harmonic index must be one of {1,3,5,7}, got %r" % k)
     with ctx.workdps():
-        am = as_mpf(a)
-        if am <= 0:
-            raise ValueError("amplitude must be positive")
+        am = _amplitude(a)
         u = am * am
         rp = sqrt_pi()
         r2 = mp.sqrt(2)
@@ -146,7 +154,7 @@ def harmonic_quadrature(a, k: int, ctx: PrecisionContext = CTX34):
     if k % 2 == 0:
         return mp.mpf(0)
     with ctx.workdps():
-        am = as_mpf(a)
+        am = _amplitude(a)
         two_pi = 2 * mp.pi
 
         def f(t):
@@ -236,6 +244,8 @@ def filter_convolution_oracle(model: FilterModel, t, ctx: PrecisionContext = CTX
         gamma = as_mpf(model.gamma)
         tau = model.tau()
         tm = as_mpf(t)
+        if tm < 0:
+            raise ValueError("filter response defined for t >= 0")
 
         def integrand(lam):
             return erf_ref(lam / gamma, ctx) * (tm - lam) * mp.exp(-(tm - lam) / tau) / tau**2

@@ -288,8 +288,8 @@ def cmd_sweep(args) -> int:
     )
     writer.writerow([header, "re", "abs_re"])
     digits = ctx.working_digits
-    for x, r, a in report.rows():
-        writer.writerow([mp_str(x, digits), mp_str(r, digits), mp_str(a, digits)])
+    for x, re in zip(report.xs, (mp_str(r, digits) for r in report.re)):
+        writer.writerow([mp_str(x, digits), re, re.removeprefix("-")])  # abs_re: re unsigned
     if close:
         out.close()
         print(json.dumps(report.summary()))

@@ -4,7 +4,8 @@ The erf oracle sums the cancellation-free confluent series
 (2/sqrt(pi)) e^(-x^2) sum_n 2^n x^(2n+1) / (1*3*...*(2n+1)); every term is
 positive, so the truncation error is bounded by the first omitted term times
 a geometric factor and no x-dependent guard is needed. The alternating
-Taylor series would lose about x^2 * log10(e) digits to cancellation.
+Taylor series would lose about x^2 * log10(e) digits to cancellation. An mpf
+argument enters the summing loop with no context switch (``erf_ref``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_div, mpf_exp, mpf_mul, mpf_neg
+from mpmath.libmp import mpf_pos, mpf_shift, round_nearest
 
 from .exact import _rounded, as_mpf
 
@@ -22,13 +24,14 @@ GUARD_DIGITS = 10  # extra decimal digits every intermediate sum carries
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Decimal working precision; intermediate sums add GUARD_DIGITS."""
+    """Decimal working precision; intermediate sums add GUARD_DIGITS. ``prec``: workdps()'s bits."""
 
     working_digits: int = 34
 
     def __post_init__(self):
         if self.working_digits < 16:
             raise ValueError("working_digits must be >= 16")
+        object.__setattr__(self, "prec", dps_to_prec(self.total_digits))
 
     @property
     def total_digits(self) -> int:
@@ -82,77 +85,80 @@ class OddApproximant:
 def erf_ref(x, ctx: PrecisionContext = CTX34):
     """Reference erf via the all-positive-terms confluent series.
 
-    Accurate to <= 1 unit in the last working digit. Negative arguments are
-    handled by odd symmetry. The series is truncated once the term-to-sum
-    ratio drops below 10^-(working+guard) digits and the term ratio
-    2x^2/(2n+3) has fallen below 1/2 (geometric tail).
+    Accurate to <= 1 unit in the last working digit, and odd. An mpf x is
+    rounded once at ``ctx.prec`` and read as a libmp tuple, any other through
+    ``as_mpf`` in ``ctx.workdps()`` (NaN and infinities raise ValueError). The
+    series stops once the term-to-sum ratio is below 10^-(working + guard) and
+    the term ratio 2x^2/(2n+3) below 1/2 (a geometric tail).
 
     The sum runs on Python ints: t = 2x^2, ratio, term, total and eps*total
-    are (mantissa, exponent) pairs, each rounded once to mp.prec bits, half
-    to even, inline as in ``exact.horner``; both comparisons are exact. The
+    are (mantissa, exponent) pairs, each rounded once to prec bits, half to
+    even, inline as in ``exact.horner``; both comparisons are exact. The
     prefactor is libmp calls at round_nearest. So the result is bit for bit
     that of the same loop on mpf values, which rounds the same operations.
     """
-    with ctx.workdps():
-        xm = as_mpf(x)
-        if xm < 0:
-            return -erf_ref(-xm, ctx)
-        if xm == 0:
-            return mp.mpf(0)
-        prec = mp.mp.prec
-        _, em, ee, _ = _series_eps(ctx.total_digits)._mpf_
-        xx = mpf_mul(xm._mpf_, xm._mpf_, prec, round_nearest)
-        _, tm, te, tbc = mpf_shift(xx, 1)  # t = 2x^2
-        _, sm, se, _ = xm._mpf_  # term
-        total_m, total_e = sm, se
-        d = 3  # 2n + 3
-        while True:
-            # ratio = t / d: a quotient of >= prec + 3 bits plus a sticky bit
-            k = prec + 3 + d.bit_length() - tbc
-            q, r = divmod(tm << k, d)
-            if r:
-                q = (q << 1) | 1
-                k += 1
-            n = q.bit_length() - prec
-            h = q >> (n - 1)
-            ratio_m = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != q) else h >> 1
-            ratio_e = te - k + n
-            sm *= ratio_m
-            se += ratio_e
-            n = sm.bit_length() - prec
+    prec = ctx.prec
+    if isinstance(x, mp.mpf) and x._mpf_[1]:  # nonzero and finite
+        xt = mpf_pos(x._mpf_, prec, round_nearest)
+    else:
+        with ctx.workdps():
+            xt = as_mpf(x)._mpf_
+    sign, sm, se, _ = xt  # term = |x|
+    if not sm:
+        return mp.mpf(0)
+    _, em, ee, _ = _series_eps(ctx.total_digits)._mpf_
+    xx = mpf_mul(xt, xt, prec, round_nearest)
+    _, tm, te, tbc = mpf_shift(xx, 1)  # t = 2x^2
+    total_m, total_e = sm, se
+    d = 3  # 2n + 3
+    while True:
+        # ratio = t / d: a quotient of >= prec + 3 bits plus a sticky bit
+        k = prec + 3 + d.bit_length() - tbc
+        q, r = divmod(tm << k, d)
+        if r:
+            q = (q << 1) | 1
+            k += 1
+        n = q.bit_length() - prec
+        h = q >> (n - 1)
+        ratio_m = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != q) else h >> 1
+        ratio_e = te - k + n
+        sm *= ratio_m
+        se += ratio_e
+        n = sm.bit_length() - prec
+        if n > 0:
+            h = sm >> (n - 1)
+            sm = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != sm) else h >> 1
+            se += n
+        assert sm > 0, "oracle series terms must stay positive"
+        top = sm.bit_length() + se
+        # total >= term, so only the term can lie below horner's prec + 4 cut-off
+        if total_m.bit_length() + total_e - top <= prec + 4:
+            if total_e > se:
+                total_m = (total_m << (total_e - se)) + sm
+                total_e = se
+            else:
+                total_m += sm << (se - total_e)
+            n = total_m.bit_length() - prec
             if n > 0:
-                h = sm >> (n - 1)
-                sm = (h >> 1) + 1 if h & 1 and (h & 2 or h << (n - 1) != sm) else h >> 1
-                se += n
-            assert sm > 0, "oracle series terms must stay positive"
-            top = sm.bit_length() + se
-            # total >= term, so only the term can lie below horner's prec + 4 cut-off
-            if total_m.bit_length() + total_e - top <= prec + 4:
-                if total_e > se:
-                    total_m = (total_m << (total_e - se)) + sm
-                    total_e = se
-                else:
-                    total_m += sm << (se - total_e)
-                n = total_m.bit_length() - prec
-                if n > 0:
-                    h = total_m >> (n - 1)
-                    up = h & 1 and (h & 2 or h << (n - 1) != total_m)
-                    total_m = (h >> 1) + 1 if up else h >> 1
-                    total_e += n
-            d += 2
-            # ratio < 1/2: stop once term < eps*total. eps*total < 2^L, L = bits(em) + ee
-            # + bits(total_m) + total_e, and <= 2^L rounded; term >= 2^(top - 1), so for
-            # top >= L + 1 the loop cannot stop and the rounded product is not formed
-            if ratio_m.bit_length() + ratio_e < 0 and top <= (
-                em.bit_length() + ee + total_m.bit_length() + total_e
-            ):
-                pm, pe = _rounded(em * total_m, ee + total_e, prec)
-                if sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se):  # term < eps*total
-                    break
-        # 2 e^(-x^2) total / sqrt(pi), rounded as the mpf expression rounds it
-        value = mpf_shift(mpf_exp(mpf_neg(xx), prec, round_nearest), 1)
-        value = mpf_mul(value, from_man_exp(total_m, total_e), prec, round_nearest)
-        return mp.make_mpf(mpf_div(value, sqrt_pi()._mpf_, prec, round_nearest))
+                h = total_m >> (n - 1)
+                up = h & 1 and (h & 2 or h << (n - 1) != total_m)
+                total_m = (h >> 1) + 1 if up else h >> 1
+                total_e += n
+        d += 2
+        # ratio < 1/2: stop once term < eps*total. eps*total < 2^L, L = bits(em) + ee
+        # + bits(total_m) + total_e, and <= 2^L rounded; term >= 2^(top - 1), so for
+        # top >= L + 1 the loop cannot stop and the rounded product is not formed
+        if ratio_m.bit_length() + ratio_e < 0 and top <= (
+            em.bit_length() + ee + total_m.bit_length() + total_e
+        ):
+            pm, pe = _rounded(em * total_m, ee + total_e, prec)
+            if sm << (se - pe) < pm if se >= pe else sm < pm << (pe - se):  # term < eps*total
+                break
+    # 2 e^(-x^2) total / sqrt(pi), rounded as the mpf expression rounds it; total takes x's sign
+    value = mpf_shift(mpf_exp(mpf_neg(xx), prec, round_nearest), 1)
+    total = from_man_exp(-total_m if sign else total_m, total_e)
+    value = mpf_mul(value, total, prec, round_nearest)
+    return mp.make_mpf(mpf_div(value, _sqrt_pi(prec)._mpf_, prec, round_nearest))
 
 
 def bessel_i(order: int, z, ctx: PrecisionContext = CTX34):

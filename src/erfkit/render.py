@@ -1,10 +1,11 @@
 """Number formatting, human-readable formula strings and JSON payloads.
 
-Decimal output is produced from exact rationals with round-half-even at the
-requested significant-digit count, so CSV/JSON artifacts are reproducible
-bit-for-bit. The JSON schema for generated approximants is
-"erfkit-approximant/1"; rationals travel as "num/den" strings, so every
-payload but a grid table's decimal increments round-trips losslessly.
+Decimal output is produced from each value's exact integer ratio, rounded
+half to even on ints at the requested significant-digit count, so CSV/JSON
+artifacts are reproducible bit-for-bit. The JSON schema for generated
+approximants is "erfkit-approximant/1"; rationals travel as "num/den"
+strings, so every payload but a grid table's decimal increments round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -13,42 +14,42 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import ZERO, PolyExpSum, RationalPolynomial, mpf_to_fraction
+from .exact import ZERO, PolyExpSum, RationalPolynomial
 
 
 def decimal_string(value, sig_digits: int) -> str:
     """Normalized scientific string of a rational/mpf, round-half-even.
 
-    The rounding is done with exact integer arithmetic on the rational value
-    of the input, so the printed digits are correct for any magnitude.
+    The value is read exactly as an integer ratio (an mpf's mantissa over a
+    power of two) and rounded on ints only, so the printed digits are correct
+    for any magnitude. NaN and infinities raise ValueError.
     """
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
-    if not isinstance(value, (Fraction, int)):
-        value = mpf_to_fraction(mp.mpf(value))
-    frac = Fraction(value)
-    if frac == 0:
+    if isinstance(value, (Fraction, int)):
+        num, den = value.as_integer_ratio()
+    else:
+        negative, num, exp, _ = mp.mpf(value)._mpf_
+        if not num and exp:  # NaN or an infinity
+            raise ValueError("cannot convert non-finite value %r" % (value,))
+        num, den = (-num if negative else num) << max(exp, 0), 1 << max(-exp, 0)
+    if not num:
         return "0"
-    sign = "-" if frac < 0 else ""
-    a = abs(frac)
-    # decimal exponent: largest e with 10^e <= a
-    num, den = a.numerator, a.denominator
-    e = len(str(num)) - len(str(den))
-    while 10**e * den > num:
-        e -= 1
-    while 10 ** (e + 1) * den <= num:
-        e += 1
-    # scale to sig_digits integer digits and round half-even
-    shift = sig_digits - 1 - e
-    scaled = a * Fraction(10) ** shift
-    n, d = scaled.numerator, scaled.denominator
-    q, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and q % 2 == 1):
+    sign, num = ("-", -num) if num < 0 else ("", num)
+    # the decimal exponent e (10^e <= num/den < 10^(e+1)) from the bit lengths, then corrected
+    e, low = (num.bit_length() - den.bit_length()) * 1233 >> 12, 10 ** (sig_digits - 1)
+    while True:  # q + r/d: num/den scaled to sig_digits integer digits
+        shift = sig_digits - 1 - e
+        n, d = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+        q, r = divmod(n, d)
+        if low <= q < 10 * low:
+            break
+        e += 1 if q >= low else -1
+    if 2 * r > d or (2 * r == d and q & 1):  # half to even
         q += 1
+    if q == 10 * low:  # rounding carried into a new digit
+        q, e = low, e + 1
     digits = str(q)
-    if len(digits) == sig_digits + 1:  # rounding carried into a new digit
-        digits = digits[:-1]
-        e += 1
     mantissa = digits[0] + ("." + digits[1:] if sig_digits > 1 else "")
     return "%s%se%+03d" % (sign, mantissa, e)
 
@@ -134,5 +135,5 @@ def parse_polyexp(payload: list) -> PolyExpSum:
 
 
 def mp_str(x, digits: int) -> str:
-    """Decimal string of an mpf at the given significant digits (half-even)."""
-    return decimal_string(mpf_to_fraction(mp.mpf(x)), digits)
+    """decimal_string of x rounded first to an mpf at the current precision (mp.prec)."""
+    return decimal_string(mp.mpf(x), digits)

@@ -9,14 +9,14 @@ times; the cache keeps the most recently used grids up to a total point count.
 A cached grid is a ``SweepGrid``. Besides its points and erf references it
 holds, formed the first time a sweep needs them, the rounded squares u = x*x,
 the signed constant-1 tail errors 1 - 1/erf(x), each decay rate's
-e^(-k x_i^2) (so every order on that grid with that rate reuses it: f_{n,m}
-has the rates j^2/m^2 for every n) and the search record below. A poly-exp
-approximant (spline, sub-interval, Taylor, erf series) or a ``SqrtForm``
-(whose radicand is a poly-exp sum) is swept in one batch (``grid_values``)
-on libmp ``_mpf_`` tuples. It rounds the operations ``value`` and the mpf
-expression 1 - f/erf round, so every error is the point-by-point quotient's,
-bit for bit; mpf objects are made only for the errors a caller keeps. Other
-approximants go through ``value`` point by point.
+e^(-k x_i^2) up to the last point read (every order on that grid with that
+rate reuses it: f_{n,m} has the rates j^2/m^2 for every n) and the search
+record below. A poly-exp approximant (spline, sub-interval, Taylor, erf
+series) or a ``SqrtForm`` (whose radicand is a poly-exp sum) is swept in one
+batch (``grid_values``) on libmp ``_mpf_`` tuples. It rounds the operations
+``value`` and the mpf expression 1 - f/erf round, so every error is the
+point-by-point quotient's, bit for bit; mpf objects are made only for the
+errors a caller keeps. Other approximants go through ``value`` point by point.
 
 ``optimize_transition`` evaluates its inner only up to the crossing x_o and
 writes those signed errors into the grid's record, which sweeps only read. A
@@ -55,10 +55,11 @@ from .sqrtform import SqrtForm
 _REF_GRID_CACHE: OrderedDict = OrderedDict()
 _REF_GRID_CACHE_POINTS = 100_000
 
-# Held exponentials on the cached grids in all; over it the least recently used grid's oldest go
-# first. 110-175 bytes each at 34-70 digits, so 35 MB: Table 6 holds 160,000 (16 rates on 10,000
-# points), the certify-warm benchmark 3,100.
+# Held exponentials on the cached grids in all, a column counted at its grid's length however far
+# it is filled; over it the least recently used grid's oldest columns go first. 110-175 bytes each
+# at 34-70 digits, so 35 MB: Table 6 holds 160,000 (16 rates on 10,000 points).
 _GRID_EXPS_VALUES = 200_000
+_FILL = 16  # points a held column is extended by at a time
 
 _by_value = cmp_to_key(mpf_cmp)  # orders ``_mpf_`` tuples by the numbers they hold
 
@@ -69,8 +70,8 @@ class SweepGrid:
 
     ``squares`` and ``tails``: per point, x*x and 1 - 1/ref as ``_mpf_`` tuples, rounded at the
     current precision (every sweep of a grid runs inside its ctx.workdps()) when first read.
-    ``exps``: (-k, prec) -> e^(-k x_i^2) per point as ``exp_parts`` pairs. ``record``: the
-    last ``optimize_transition``'s (inner, signed mpf errors up to x_o) on this grid, or None.
+    ``exps``: (-k, prec) -> e^(-k x_i^2) as ``exp_parts`` pairs, up to the last point read.
+    ``record``: the last ``optimize_transition``'s (inner, signed mpf errors up to x_o), or None.
     """
 
     xs: tuple
@@ -131,15 +132,16 @@ def reference_grid(interval, n_points: int, ctx: PrecisionContext) -> SweepGrid:
     return hit
 
 
-def _grid_exps(grid: SweepGrid, negk, prec: int) -> tuple:
-    """e^(-k x^2) at every point of the grid (``exp_parts`` pairs), held on it."""
+def _grid_exps(grid: SweepGrid, negk, prec: int) -> list:
+    """The grid's column of e^(-k x^2) (``exp_parts`` pairs), filled by ``grid_values`` as read."""
     exps = grid.exps.get((negk, prec))
     if exps is None:
-        exps = grid.exps[negk, prec] = tuple(exp_parts(negk, u, prec) for u in grid.squares)
-        total = sum(len(held) for g in _REF_GRID_CACHE.values() for held in g.exps.values())
+        exps = grid.exps[negk, prec] = []
+        total = sum(len(g.xs) * len(g.exps) for g in _REF_GRID_CACHE.values())
         for cached in _REF_GRID_CACHE.values():
             while total > _GRID_EXPS_VALUES and cached.exps:
-                total -= len(cached.exps.pop(next(iter(cached.exps))))
+                del cached.exps[next(iter(cached.exps))]
+                total -= len(cached.xs)
     return exps
 
 
@@ -150,7 +152,7 @@ def grid_values(approx, grid: SweepGrid, ctx: PrecisionContext):
     the kernel ``value`` runs too, reads the grid's squares and each rate's e^(-k u) from
     ``_grid_exps`` (a form with more exponentials on the grid than the cap holds forms them at each
     point), then divides by sqrt(pi) or takes ``SqrtForm.root``. Lazy: a point is summed only when
-    the caller asks for it.
+    the caller asks for it, and a held column is extended _FILL points at a time as far as read.
     """
     prec = mp.mp.prec
     if isinstance(approx, SqrtForm):
@@ -160,12 +162,18 @@ def grid_values(approx, grid: SweepGrid, ctx: PrecisionContext):
         form, root = approx.form, sqrt_pi()._mpf_
         finish = lambda r, x: mpf_div(r, root, prec, round_nearest)
     plans = form.plan(prec)
+    columns, filled = (), 0  # the form's held columns, each filled at least to point ``filled``
     if sum(negk is not None for negk, _ in plans) * len(grid.xs) <= _GRID_EXPS_VALUES:
         columns = [None if negk is None else _grid_exps(grid, negk, prec) for negk, _ in plans]
         exps_at = lambda i, u: [None if column is None else column[i] for column in columns]
     else:
         exps_at = lambda i, u: [exp_parts(negk, u, prec) for negk, _ in plans]
     for i, (x, u) in enumerate(zip(grid.xs, grid.squares)):
+        if i == filled:
+            filled += _FILL
+            for (negk, _), column in zip(plans, columns):
+                if column is not None:
+                    column += (exp_parts(negk, v, prec) for v in grid.squares[len(column) : filled])
         m, e = form._sum_at(plans, x._mpf_, u, exps_at(i, u), prec)
         yield finish(from_man_exp(m, e, prec, round_nearest), x)
 

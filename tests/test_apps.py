@@ -183,3 +183,25 @@ def test_filter_rejects_negative_time():
 def test_filter_model_rejects_nonpositive_or_nonfinite_parameters(gamma, f_p):
     with pytest.raises(ValueError):
         FilterModel(gamma, f_p)
+
+
+@pytest.mark.parametrize(
+    "oracle, closed",
+    [(output_power_quadrature, output_power), (lambda a, ctx: harmonic_quadrature(a, 1, ctx),
+                                                lambda a, ctx: harmonic_levels(a, 1, ctx))],
+    ids=["power", "harmonic"],
+)
+@pytest.mark.parametrize("a", [-2, 0, "-1e-3"])
+def test_quadrature_oracles_reject_what_their_closed_forms_reject(oracle, closed, a):
+    # the oracle once gave P(-2) = P(2), P(0) = 0 and c_{4,1}(-1) = -0.6395
+    for form in (closed, oracle):
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            form(a, CTX34)
+
+
+def test_convolution_oracle_rejects_negative_time_and_is_zero_at_rest():
+    m = FilterModel(F(1, 2), 1)
+    for response in (filter_response_exact, filter_convolution_oracle):
+        with pytest.raises(ValueError, match="filter response defined for t >= 0"):
+            response(m, -1, CTX34)  # the oracle once gave -750.11
+        assert response(m, 0, CTX34) == 0

@@ -89,14 +89,17 @@ def test_held_exps_give_the_cold_and_pointwise_errors(label, transition_state):
         # a grid that is not cached: every exponential computed afresh, none held on the cached one
         cold = transition._relative_errors(approx, SweepGrid(*grid), n_points, ctx)
         assert cold == expected and not grid.exps
-        # a prefix fills the held exponentials of the whole grid, one per rate
+        # a prefix fills one column per rate as far as it reads, plus at most one fill chunk
         assert transition._relative_errors(approx, grid, 37, ctx) == expected[:37]
         assert len(grid.exps) == rates
-        assert held_values(grid.exps) == rates * n_points
-        held = dict(grid.exps)
+        assert all(37 <= len(column) < 37 + transition._FILL for column in grid.exps.values())
+        held = {key: id(column) for key, column in grid.exps.items()}
+        # the whole grid extends those columns to every point; a shorter read adds nothing
         warm = transition._relative_errors(approx, grid, n_points, ctx)
-        assert warm == expected and grid.exps == held
+        assert warm == expected and held_values(grid.exps) == rates * n_points
         assert transition._relative_errors(approx, grid, 5, ctx) == expected[:5]
+        assert {key: id(column) for key, column in grid.exps.items()} == held
+        assert held_values(grid.exps) == rates * n_points
 
 
 def test_orders_on_one_grid_share_their_rates(transition_state):
@@ -121,6 +124,27 @@ def test_optimize_transition_and_sweep_match_pointwise_errors(transition_state):
     piece = PiecewiseApproximant(inner, res.x_o)
     rep = sweep(piece, (0, 12), 60, CTX70)
     assert rep.re == pointwise_errors(piece, *reference_grid((0, 12), 60, CTX70), CTX70)
+
+
+def test_search_fills_columns_only_to_the_crossing(transition_state):
+    inner = build_subinterval(8, 4)
+    res = optimize_transition(inner, (0, 8), 300, CTX34)
+    grid = reference_grid((0, 8), 300, CTX34)
+    read = grid.xs.index(res.x_o) + 1  # points up to the crossing
+    assert read < 300 - transition._FILL and len(grid.exps) == 4
+    assert all(read <= len(column) < read + transition._FILL for column in grid.exps.values())
+    with CTX34.workdps():
+        assert list(grid.exps.values()) == [
+            [transition.exp_parts(negk, u, prec) for u in grid.squares[: len(column)]]
+            for (negk, prec), column in grid.exps.items()
+        ]
+    # the piecewise sweep reads the record and fills nothing; a sweep of the inner extends them
+    held = {key: len(column) for key, column in grid.exps.items()}
+    sweep(PiecewiseApproximant(inner, res.x_o), (0, 8), 300, CTX34)
+    assert {key: len(column) for key, column in grid.exps.items()} == held
+    rep = sweep(inner, (0, 8), 300, CTX34)
+    assert rep.re == pointwise_errors(inner, *grid, CTX34)
+    assert held_values(grid.exps) == 4 * 300
 
 
 def test_exps_of_an_evicted_grid_are_gone(transition_state, monkeypatch):
@@ -152,6 +176,18 @@ def test_exps_cap_holds_and_keeps_every_grid(transition_state, monkeypatch):
     assert sweep(approx, (0, 5), 40, CTX34).re == pointwise_errors(approx, *a, CTX34)
     assert list(a.exps) == list(b.exps) == [(one, prec)]
     assert list(transition._REF_GRID_CACHE.values()) == [b, a]
+
+
+def test_a_partly_filled_column_counts_in_full(transition_state, monkeypatch):
+    monkeypatch.setattr(transition, "_GRID_EXPS_VALUES", 110)
+    optimize_transition(build_spline(4), (0, 5), 40, CTX34)  # rate 1, filled up to the crossing
+    a = reference_grid((0, 5), 40, CTX34)
+    assert len(a.exps) == 1 and held_values(a.exps) < 40
+    # rates 1/4 and 1 on another grid: 3 columns of 40 are over the cap, so a's goes
+    # although the values held would fit
+    sweep(build_subinterval(0, 2), (0, 6), 40, CTX34)
+    b = reference_grid((0, 6), 40, CTX34)
+    assert not a.exps and len(b.exps) == 2 and held_values(b.exps) == 80
 
 
 def test_grid_above_the_point_cap_holds_no_exps(transition_state, monkeypatch):

@@ -121,6 +121,26 @@ def oracle_points(ctx, seed):
 def test_erf_ref_is_the_mpf_series_bit_for_bit(ctx):
     for x in oracle_points(ctx, ctx.working_digits):
         assert erf_ref(x, ctx)._mpf_ == erf_ref_mpf(x, ctx)._mpf_, x
+    # an mpf is rounded at ctx's precision whatever precision it was made at; the
+    # sign and zero are read from its tuple; other types convert through as_mpf
+    rng = random.Random(ctx.working_digits)
+    args = [0, 7, -3, "0.1", "-2.75", Fraction(1, 3), Fraction(-22, 7), 0.1, -1.5, 1e-30, -0.0]
+    for prec in (53, ctx.prec, 2 * ctx.prec):
+        with mp.workprec(prec):
+            args += [mp.mpf(1) / 3, mp.mpf(0), mp.mpf("1e-30"), -mp.mpf("1e-30")]
+            args += [mp.mpf(rng.uniform(-12, 12)) / 7 for _ in range(12)]
+    for x in args:
+        assert erf_ref(x, ctx)._mpf_ == erf_ref_mpf(x, ctx)._mpf_, x
+    for bad in (mp.nan, mp.inf, -mp.inf, float("nan"), float("-inf"), "inf"):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            erf_ref(bad, ctx)
+
+
+def test_erf_ref_rounds_at_the_precision_of_workdps():
+    for digits in range(16, 101):
+        ctx = PrecisionContext(digits)
+        with ctx.workdps():
+            assert ctx.prec == mp.mp.prec, digits
 
 
 # sha256 of erf_ref(x)._mpf_ over oracle_points(ctx, ctx.working_digits),
@@ -183,7 +203,9 @@ def test_periodic_trapezoid_keeps_its_nodes(monkeypatch):
     calls = []
     monkeypatch.setattr(apps, "erf_ref", lambda x, ctx: calls.append(x) or erf_ref(x, ctx))
     power = apps.output_power_quadrature(2, CTX34)
-    assert len(calls) == 512  # 256 nodes, then the 256 odd nodes of the doubled rule
+    # 256 nodes, then the 256 odd nodes of the doubled rule: 512, of which 98 repeat an
+    # earlier node's argument bit for bit (t and 1/2 - t round to the same sine)
+    assert len(calls) == 414 and len(set(calls)) == len(calls)
     with CTX34.workdps():
         two_pi = 2 * mp.pi
         ref = trapezoid_reference(
